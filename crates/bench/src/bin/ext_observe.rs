@@ -46,7 +46,7 @@ struct PhaseRow {
 }
 
 /// Extracts `(count, p50, p95, p99)` for `name`, zeros when the
-/// histogram is absent (telemetry compiled out).
+/// histogram is absent.
 fn quantiles(snap: &telemetry::Snapshot, name: &str) -> (u64, u64, u64, u64) {
     snap.histogram(name)
         .map(|h| (h.count, h.p50(), h.p95(), h.p99()))
@@ -279,60 +279,52 @@ fn main() {
     std::fs::write(&path, &json).expect("write bench json");
     println!("wrote {} ({} bytes)", path.display(), json.len());
 
-    if telemetry::ENABLED {
-        // Every op must attribute all five phases. (Counts, not times:
-        // a loopback connect can round to 0 µs.)
-        for r in &rows {
-            assert!(r.count > 0, "{} {} histogram is empty", r.op, r.phase);
-        }
-        // The wait phase absorbs the server's service delay, so its
-        // median must at least reach the configured delay's bucket.
-        let get_wait = rows
-            .iter()
-            .find(|r| r.op == "get" && r.phase == "wait")
-            .expect("get wait row");
-        assert!(
-            get_wait.p50 >= delay_us as u64 / 4,
-            "get wait p50 {}us implausibly below the {delay_us}us service delay",
-            get_wait.p50
-        );
-        // One complete client -> datanode span tree: the op root's trace
-        // id must also tag per-stripe children and server-side spans.
-        let root = trace_lines
-            .iter()
-            .find(|l| l.contains("\"name\":\"cluster.op.get_us\""))
-            .expect("no cluster.op.get_us root span captured");
-        let trace_id = num_field(root, "trace").expect("root span has a trace id");
-        let tagged = |name: &str| {
-            trace_lines
-                .iter()
-                .filter(|l| l.contains(&format!("\"name\":\"{name}\"")))
-                .filter(|l| num_field(l, "trace") == Some(trace_id))
-                .count()
-        };
-        assert!(tagged("cluster.fetch.stripe_us") > 0, "no fetch children");
-        assert!(tagged("cluster.decode.stripe_us") > 0, "no decode children");
-        assert!(
-            tagged("cluster.node.request_us") > 0,
-            "no datanode span joined the client's trace over the wire"
-        );
-        assert!(tagged("cluster.node.queue_us") > 0, "no queue sub-span");
-        assert!(tagged("cluster.node.service_us") > 0, "no service sub-span");
-        // The scrape saw the repair phase's server-side counters.
-        assert!(
-            merged.counter("cluster.node.requests").unwrap_or(0) > 0,
-            "merged cluster scrape lost node request counters"
-        );
-        let mode = if smoke { "smoke" } else { "full" };
-        println!(
-            "{mode}: all phases populated, span tree complete (trace {trace_id}), \
-             wire scrape merged"
-        );
-    } else {
-        assert!(
-            trace_lines.is_empty() && merged.histograms.is_empty(),
-            "telemetry-off build still produced metrics"
-        );
-        println!("telemetry off: wrote config-only JSON, no metrics expected");
+    // Every op must attribute all five phases. (Counts, not times:
+    // a loopback connect can round to 0 µs.)
+    for r in &rows {
+        assert!(r.count > 0, "{} {} histogram is empty", r.op, r.phase);
     }
+    // The wait phase absorbs the server's service delay, so its
+    // median must at least reach the configured delay's bucket.
+    let get_wait = rows
+        .iter()
+        .find(|r| r.op == "get" && r.phase == "wait")
+        .expect("get wait row");
+    assert!(
+        get_wait.p50 >= delay_us as u64 / 4,
+        "get wait p50 {}us implausibly below the {delay_us}us service delay",
+        get_wait.p50
+    );
+    // One complete client -> datanode span tree: the op root's trace
+    // id must also tag per-stripe children and server-side spans.
+    let root = trace_lines
+        .iter()
+        .find(|l| l.contains("\"name\":\"cluster.op.get_us\""))
+        .expect("no cluster.op.get_us root span captured");
+    let trace_id = num_field(root, "trace").expect("root span has a trace id");
+    let tagged = |name: &str| {
+        trace_lines
+            .iter()
+            .filter(|l| l.contains(&format!("\"name\":\"{name}\"")))
+            .filter(|l| num_field(l, "trace") == Some(trace_id))
+            .count()
+    };
+    assert!(tagged("cluster.fetch.stripe_us") > 0, "no fetch children");
+    assert!(tagged("cluster.decode.stripe_us") > 0, "no decode children");
+    assert!(
+        tagged("cluster.node.request_us") > 0,
+        "no datanode span joined the client's trace over the wire"
+    );
+    assert!(tagged("cluster.node.queue_us") > 0, "no queue sub-span");
+    assert!(tagged("cluster.node.service_us") > 0, "no service sub-span");
+    // The scrape saw the repair phase's server-side counters.
+    assert!(
+        merged.counter("cluster.node.requests").unwrap_or(0) > 0,
+        "merged cluster scrape lost node request counters"
+    );
+    let mode = if smoke { "smoke" } else { "full" };
+    println!(
+        "{mode}: all phases populated, span tree complete (trace {trace_id}), \
+         wire scrape merged"
+    );
 }

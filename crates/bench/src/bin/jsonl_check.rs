@@ -7,10 +7,9 @@
 //! For every line of every file: it must parse as an RFC 8259 JSON value
 //! (via the telemetry crate's own validator — the same grammar its writer
 //! targets), and its top-level `type` member must be one of the event
-//! types this workspace emits. Empty files fail: even a
-//! `--no-default-features` run writes the final `meta` line. Wired into
-//! `scripts/check.sh` against a real `--metrics` capture in both feature
-//! configurations, so the hand-rolled JSON writer and the documented
+//! types this workspace emits. Empty files fail: every run writes the
+//! final `meta` line. Wired into `scripts/check.sh` against a real
+//! `--metrics` capture, so the hand-rolled JSON writer and the documented
 //! schema cannot drift apart silently.
 
 use std::process::ExitCode;
@@ -52,7 +51,7 @@ fn check_file(path: &str) -> Result<usize, String> {
     }
     if lines == 0 {
         return Err(format!(
-            "{path}: no event lines (even a telemetry-off run writes a meta line)"
+            "{path}: no event lines (every run writes a meta line)"
         ));
     }
     Ok(lines)

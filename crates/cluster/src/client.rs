@@ -34,10 +34,10 @@
 //! instead of retrying forever.
 //!
 //! Every byte in and out of the client is counted (and exported through
-//! `carousel-telemetry` when the `telemetry` feature is on), so repair
-//! and read traffic are *measured*, not asserted. Workers count bytes in
-//! private [`Tally`] values folded into the client's totals after each
-//! operation — no shared counter is touched on the hot path.
+//! `carousel-telemetry`), so repair and read traffic are *measured*, not
+//! asserted. Workers count bytes in private [`Tally`] values folded into
+//! the client's totals after each operation — no shared counter is
+//! touched on the hot path.
 
 use std::collections::HashMap;
 use std::net::TcpStream;
@@ -115,8 +115,7 @@ static DELETES: LazyLock<&'static telemetry::Counter> =
     LazyLock::new(|| telemetry::counter("cluster.deletes"));
 
 /// One node's scraped telemetry registry, as returned by
-/// [`ClusterClient::node_stats`]. With the `telemetry` feature off this
-/// is always empty.
+/// [`ClusterClient::node_stats`].
 pub type NodeStats = telemetry::Snapshot;
 
 /// Decode plans cached per client (more than enough for the handful of
@@ -230,19 +229,17 @@ impl Link {
             self.meta.mark_dead(node);
             ClusterError::NodeDown { node }
         };
-        let wire = protocol::WireTrace::from_ctx(&trace);
+        let wire = Some(protocol::WireTrace::from_ctx(&trace));
         for attempt in 0..2u8 {
             let cached = self.take_conn(node);
             let had_cached = cached.is_some();
             let mut conn = match cached {
                 Some(conn) => conn,
                 None => {
-                    let dialed = telemetry::ENABLED.then(Instant::now);
+                    let dialed = Instant::now();
                     match TcpStream::connect_timeout(&addr, self.timeout) {
                         Ok(stream) => {
-                            if let Some(t) = dialed {
-                                PHASE_CONNECT.record(t.elapsed().as_micros() as u64);
-                            }
+                            PHASE_CONNECT.record(dialed.elapsed().as_micros() as u64);
                             let _ = stream.set_read_timeout(Some(self.timeout));
                             let _ = stream.set_write_timeout(Some(self.timeout));
                             let _ = stream.set_nodelay(true);
@@ -255,12 +252,10 @@ impl Link {
                     }
                 }
             };
-            let sent = telemetry::ENABLED.then(Instant::now);
+            let sent = Instant::now();
             let exchange = protocol::write_request_traced(&mut conn.stream, request, wire)
                 .and_then(|tx| {
-                    if let Some(t) = sent {
-                        PHASE_SEND.record(t.elapsed().as_micros() as u64);
-                    }
+                    PHASE_SEND.record(sent.elapsed().as_micros() as u64);
                     Ok((
                         tx,
                         protocol::read_response_timed(&mut conn.stream, &mut conn.scratch)?,
@@ -269,12 +264,10 @@ impl Link {
             match exchange {
                 Ok((tx, Some((response, rx, timing)))) => {
                     self.put_conn(node, conn);
-                    if telemetry::ENABLED {
-                        CLIENT_TX.add(tx as u64);
-                        CLIENT_RX.add(rx as u64);
-                        PHASE_WAIT.record(timing.wait_ns / 1_000);
-                        PHASE_RECV.record(timing.recv_ns / 1_000);
-                    }
+                    CLIENT_TX.add(tx as u64);
+                    CLIENT_RX.add(rx as u64);
+                    PHASE_WAIT.record(timing.wait_ns / 1_000);
+                    PHASE_RECV.record(timing.recv_ns / 1_000);
                     return Ok((
                         response,
                         Tally {
@@ -652,16 +645,12 @@ impl ClusterClient {
         if let Some(cached) = self.manifests.get(name) {
             if cached.epoch == epoch {
                 self.manifest_hits += 1;
-                if telemetry::ENABLED {
-                    META_CACHE_HIT.inc();
-                }
+                META_CACHE_HIT.inc();
                 return Ok(Arc::clone(&cached.fp));
             }
         }
         self.manifest_misses += 1;
-        if telemetry::ENABLED {
-            META_CACHE_MISS.inc();
-        }
+        META_CACHE_MISS.inc();
         let fp = self
             .link
             .meta
@@ -686,8 +675,8 @@ impl ClusterClient {
         Ok(fp)
     }
 
-    /// `(hits, misses)` of the manifest cache over this client's
-    /// lifetime. Plain counters, available with telemetry compiled out.
+    /// `(hits, misses)` of this client's own manifest cache over its
+    /// lifetime (the registry's `meta.cache.*` counters are process-wide).
     pub fn manifest_cache_stats(&self) -> (u64, u64) {
         (self.manifest_hits, self.manifest_misses)
     }
@@ -782,9 +771,7 @@ impl ClusterClient {
                             return Ok(()); // consumer bailed; its error wins
                         };
                         codec.encode_stripe_into(chunk, &mut stripe)?;
-                        if telemetry::ENABLED {
-                            PIPELINE_INFLIGHT.add(1);
-                        }
+                        PIPELINE_INFLIGHT.add(1);
                         if pipe.send((s, stripe)).is_err() {
                             return Ok(());
                         }
@@ -796,10 +783,8 @@ impl ClusterClient {
                     loop {
                         let wait = Instant::now();
                         let Ok((s, stripe)) = pipe.recv() else { break };
-                        if telemetry::ENABLED {
-                            FETCH_STALL.record(wait.elapsed().as_micros() as u64);
-                            PIPELINE_INFLIGHT.add(-1);
-                        }
+                        FETCH_STALL.record(wait.elapsed().as_micros() as u64);
+                        PIPELINE_INFLIGHT.add(-1);
                         match send_stripe(link, ctx, name, s, &rows[s], &stripe.blocks, op_ctx) {
                             Ok(t) => tally += t,
                             Err(e) => return (tally, Err(e)),
@@ -836,12 +821,8 @@ impl ClusterClient {
     /// reachable blocks, and [`ClusterError::ReplansExhausted`] when nodes
     /// keep dying mid-read past the replan budget.
     pub(crate) fn get_file(&mut self, name: &str) -> Result<Vec<u8>, ClusterError> {
-        let _timer = if telemetry::ENABLED {
-            READS.inc();
-            Some(telemetry::span("cluster.read.ns"))
-        } else {
-            None
-        };
+        READS.inc();
+        let _timer = telemetry::span("cluster.read.ns");
         // The whole read is one trace: per-stripe fetch/decode spans hang
         // off this root, and every wire request carries its ids so the
         // serving nodes' spans land in the same trace.
@@ -892,11 +873,9 @@ impl ClusterClient {
                 degraded = true;
             }
             let _span = op_ctx.child("cluster.decode.stripe_us");
-            let decoded_at = telemetry::ENABLED.then(Instant::now);
+            let decoded_at = Instant::now();
             let data = fetched.decode().map_err(|_| unreadable(name, s))?;
-            if let Some(t) = decoded_at {
-                PHASE_DECODE.record(t.elapsed().as_micros() as u64);
-            }
+            PHASE_DECODE.record(decoded_at.elapsed().as_micros() as u64);
             let at = s * sdb;
             let take = sdb.min(out.len() - at.min(out.len())).min(data.len());
             out[at..at + take].copy_from_slice(&data[..take]);
@@ -926,9 +905,7 @@ impl ClusterClient {
                         let (fetched, t) = fetch_one(s);
                         tally += t;
                         let failed = fetched.is_err();
-                        if telemetry::ENABLED {
-                            PIPELINE_INFLIGHT.add(1);
-                        }
+                        PIPELINE_INFLIGHT.add(1);
                         if pipe.send((s, fetched)).is_err() || failed {
                             break;
                         }
@@ -941,10 +918,8 @@ impl ClusterClient {
                         let Ok((s, fetched)) = pipe.recv() else {
                             return Ok(());
                         };
-                        if telemetry::ENABLED {
-                            FETCH_STALL.record(wait.elapsed().as_micros() as u64);
-                            PIPELINE_INFLIGHT.add(-1);
-                        }
+                        FETCH_STALL.record(wait.elapsed().as_micros() as u64);
+                        PIPELINE_INFLIGHT.add(-1);
                         // An error drops the receiver on return, which
                         // stops the producer at its next send.
                         decode_into(s, fetched, out_ref)?;
@@ -956,7 +931,7 @@ impl ClusterClient {
         }
         self.fold(tally);
         outcome?;
-        if degraded && telemetry::ENABLED {
+        if degraded {
             READS_DEGRADED.inc();
         }
         Ok(out)
@@ -1131,16 +1106,13 @@ impl ClusterClient {
         })();
         self.fold(tally);
         outcome?;
-        if telemetry::ENABLED {
-            REPAIR_BLOCKS.add(report.blocks_repaired as u64);
-            REPAIR_WIRE.add(report.wire_bytes);
-        }
+        REPAIR_BLOCKS.add(report.blocks_repaired as u64);
+        REPAIR_WIRE.add(report.wire_bytes);
         Ok(report)
     }
 
     /// Scrapes one datanode's full telemetry registry over the wire via
-    /// [`Request::Stats`]. With the `telemetry` feature compiled out (on
-    /// either end) the snapshot is empty.
+    /// [`Request::Stats`].
     ///
     /// # Errors
     ///
@@ -1159,25 +1131,15 @@ impl ClusterClient {
         }
     }
 
-    /// Asks one datanode for its process's repair-scheduler status board
-    /// via [`Request::RepairStatus`]. Unlike `Stats` this works with the
-    /// `telemetry` feature compiled out — the board is plain atomics.
+    /// The background-repair progress of one datanode's process, read
+    /// from its [`node_stats`](Self::node_stats) scrape.
     ///
     /// # Errors
     ///
-    /// [`ClusterError::NodeDown`] for unreachable nodes, or a protocol
-    /// error when the reply cannot be decoded.
+    /// As for [`node_stats`](Self::node_stats).
     pub fn repair_status(&mut self, node: usize) -> Result<RepairStatusReport, ClusterError> {
-        let op = telemetry::trace::TraceCtx::root().child("cluster.op.repair_status_us");
-        let (response, tally) = self.link.call(node, &Request::RepairStatus, op.ctx())?;
-        self.fold(tally);
-        match response {
-            Response::Data(bytes) => protocol::decode_repair_status(&bytes),
-            Response::Error(message) => Err(ClusterError::Remote { message }),
-            other => Err(ClusterError::Protocol {
-                reason: format!("unexpected RepairStatus reply: {other:?}"),
-            }),
-        }
+        self.node_stats(node)
+            .map(|snap| RepairStatusReport::from_snapshot(&snap))
     }
 
     /// Fetches one file's manifest *over the wire* from a datanode via
@@ -1374,10 +1336,8 @@ impl ClusterClient {
             }
             Ok(())
         })();
-        if telemetry::ENABLED {
-            UPDATE_DELTAS.add(requests);
-            UPDATE_WIRE.add(tally.tx);
-        }
+        UPDATE_DELTAS.add(requests);
+        UPDATE_WIRE.add(tally.tx);
         self.fold(tally);
         outcome
     }
@@ -1408,9 +1368,7 @@ impl ClusterClient {
         }
         let old = self.read_file_range(name, offset, new.len() as u64)?;
         self.delta_write(name, &fp, offset, &old, new, op_ctx)?;
-        if telemetry::ENABLED {
-            UPDATE_WRITES.inc();
-        }
+        UPDATE_WRITES.inc();
         Ok(())
     }
 
@@ -1471,9 +1429,7 @@ impl ClusterClient {
             self.fold(tally);
             outcome?;
         }
-        if telemetry::ENABLED {
-            UPDATE_APPENDS.inc();
-        }
+        UPDATE_APPENDS.inc();
         Ok(new_len)
     }
 
@@ -1526,9 +1482,7 @@ impl ClusterClient {
                 len: data.len() as u64,
             },
         )?;
-        if telemetry::ENABLED {
-            UPDATE_PACKED.inc();
-        }
+        UPDATE_PACKED.inc();
         Ok(())
     }
 }
@@ -1622,7 +1576,7 @@ impl ObjectStore for ClusterClient {
         if self.link.meta.extent(name).is_some() {
             // Packed: drop the extent only — the pack keeps the bytes.
             let existed = self.link.meta.delete_extent(name)?;
-            if existed && telemetry::ENABLED {
+            if existed {
                 DELETES.inc();
             }
             return Ok(existed);
@@ -1663,9 +1617,7 @@ impl ObjectStore for ClusterClient {
         self.fold(tally);
         let existed = self.link.meta.delete_file(name)?;
         self.manifests.remove(name);
-        if telemetry::ENABLED {
-            DELETES.inc();
-        }
+        DELETES.inc();
         Ok(existed)
     }
 

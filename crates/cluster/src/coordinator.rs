@@ -125,9 +125,7 @@ impl State {
         match log.append(rec) {
             Ok(()) => Ok(()),
             Err(e) => {
-                if telemetry::ENABLED {
-                    LOG_ERRORS.inc();
-                }
+                LOG_ERRORS.inc();
                 if required {
                     Err(e)
                 } else {
@@ -165,7 +163,7 @@ impl State {
         if self.log.as_ref().is_some_and(MetaLog::needs_compaction) {
             let snapshot = self.snapshot_records();
             if let Some(log) = self.log.as_mut() {
-                if log.compact(&snapshot).is_err() && telemetry::ENABLED {
+                if log.compact(&snapshot).is_err() {
                     LOG_ERRORS.inc();
                 }
             }
@@ -316,9 +314,7 @@ impl Coordinator {
 
     fn bump_epoch(&self) {
         let now = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        if telemetry::ENABLED {
-            SHARD_EPOCH.set(now as i64);
-        }
+        SHARD_EPOCH.set(now as i64);
     }
 
     /// Installs the liveness listener, replacing any previous one. The
@@ -839,8 +835,7 @@ impl Coordinator {
     }
 
     /// A snapshot of this process's telemetry registry — what the
-    /// coordinator would serve for a `Stats` scrape. Empty with the
-    /// `telemetry` feature compiled out.
+    /// coordinator would serve for a `Stats` scrape.
     pub fn stats(&self) -> telemetry::Snapshot {
         telemetry::Registry::global().snapshot()
     }

@@ -285,7 +285,7 @@ fn serve_connection(
         // service begins. Without a rate it is the artificial request
         // delay; with one it is the wait for the node's single service
         // unit, i.e. the time spent behind other requests' bytes.
-        let queued_at = telemetry::ENABLED.then(std::time::Instant::now);
+        let queued_at = std::time::Instant::now();
         let service_unit = model
             .rate
             .map(|_| model.unit.lock().expect("service unit lock"));
@@ -298,11 +298,9 @@ fn serve_connection(
         // attributed to a specific node's queue or service time.
         let ctx = telemetry::trace::TraceCtx::adopt(wire_trace.map(|t| (t.trace, t.span)));
         let req_span = ctx.child("cluster.node.request_us");
-        if let Some(t) = queued_at {
-            req_span
-                .ctx()
-                .span_with("cluster.node.queue_us", t.elapsed());
-        }
+        req_span
+            .ctx()
+            .span_with("cluster.node.queue_us", queued_at.elapsed());
         let response = {
             let _service = req_span.ctx().child("cluster.node.service_us");
             if model.rate.is_some() && !model.delay.is_zero() {
@@ -318,18 +316,14 @@ fn serve_connection(
             response
         };
         drop(service_unit);
-        if telemetry::ENABLED {
-            NODE_REQUESTS.inc();
-            NODE_RX.add(rx_bytes as u64);
-            if matches!(response, Response::Error(_)) {
-                NODE_ERRORS.inc();
-            }
+        NODE_REQUESTS.inc();
+        NODE_RX.add(rx_bytes as u64);
+        if matches!(response, Response::Error(_)) {
+            NODE_ERRORS.inc();
         }
         match protocol::write_response(&mut stream, &response) {
             Ok(tx_bytes) => {
-                if telemetry::ENABLED {
-                    NODE_TX.add(tx_bytes as u64);
-                }
+                NODE_TX.add(tx_bytes as u64);
             }
             Err(_) => return,
         }
@@ -404,16 +398,9 @@ fn handle(store: &BlockStore, request: Request, meta: Option<&MetaRouter>) -> Re
         },
         // The node's full registry over the wire. All nodes of the
         // loopback harness share one process (and thus one registry);
-        // real deployments get per-process scrapes. With telemetry
-        // compiled out the snapshot is empty.
+        // real deployments get per-process scrapes.
         Request::Stats => Response::Data(protocol::encode_stats(
             &telemetry::Registry::global().snapshot(),
-        )),
-        // The process-wide repair scoreboard. Like `Stats`, every node of
-        // the loopback harness answers with the same numbers; a real
-        // deployment would scrape the coordinator's process.
-        Request::RepairStatus => Response::Data(protocol::encode_repair_status(
-            &crate::repair::StatusBoard::global().report(),
         )),
         // The write-path dual of RepairRead: fold the shipped message
         // deltas into the stored block with the shipped per-unit

@@ -81,7 +81,6 @@ pub use metalog::{MetaLog, MetaRecord};
 pub use protocol::{BlockId, Request, Response};
 pub use repair::{
     FanInGate, RateLimiter, RepairConfig, RepairScheduler, RepairStatusReport, SchedulerStatus,
-    StatusBoard,
 };
 pub use router::MetaRouter;
 pub use store::BlockStore;

@@ -536,10 +536,8 @@ impl MetaLog {
         self.file.flush()?;
         self.bytes += framed.len() as u64;
         self.records += 1;
-        if telemetry::ENABLED {
-            LOG_APPEND_US.record_f64(start.elapsed().as_secs_f64() * 1e6);
-            LOG_RECORDS.inc();
-        }
+        LOG_APPEND_US.record_f64(start.elapsed().as_secs_f64() * 1e6);
+        LOG_RECORDS.inc();
         Ok(())
     }
 
@@ -583,9 +581,7 @@ impl MetaLog {
         self.bytes = end;
         self.records = snapshot.len() as u64;
         self.compact_at = self.compact_min.max(2 * self.bytes);
-        if telemetry::ENABLED {
-            COMPACTION_RUNS.inc();
-        }
+        COMPACTION_RUNS.inc();
         emit("compact", |o| {
             o.str("path", &self.path.display().to_string())
                 .u64("bytes_before", before)

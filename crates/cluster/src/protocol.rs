@@ -83,7 +83,7 @@ const TAG_GET_UNITS: u8 = 0x04;
 const TAG_REPAIR_READ: u8 = 0x05;
 const TAG_STAT: u8 = 0x06;
 const TAG_STATS: u8 = 0x07;
-const TAG_REPAIR_STATUS: u8 = 0x08;
+// 0x08 is unassigned.
 const TAG_MANIFEST_GET: u8 = 0x09;
 const TAG_WRITE_DELTA: u8 = 0x0A;
 const TAG_DELETE_BLOCK: u8 = 0x0B;
@@ -106,13 +106,10 @@ pub struct WireTrace {
 }
 
 impl WireTrace {
-    /// The extension `ctx` stamps on an outgoing frame; `None` when this
-    /// build does not trace (telemetry feature off), so untraced builds
-    /// keep emitting byte-identical v1 frames.
-    pub fn from_ctx(ctx: &telemetry::trace::TraceCtx) -> Option<WireTrace> {
-        ctx.wire()
-            .filter(|&(trace, _)| trace != 0)
-            .map(|(trace, span)| WireTrace { trace, span })
+    /// The extension `ctx` stamps on an outgoing frame.
+    pub fn from_ctx(ctx: &telemetry::trace::TraceCtx) -> WireTrace {
+        let (trace, span) = ctx.wire();
+        WireTrace { trace, span }
     }
 
     /// Adopts this extension as a trace context for server-side spans.
@@ -240,16 +237,10 @@ pub enum Request {
     },
     /// Scrape the serving node's full telemetry registry; answered with
     /// [`Response::Data`] holding an [`encode_stats`]-serialized
-    /// snapshot. In a build with telemetry compiled out the snapshot is
-    /// empty — the zero-cost guarantee extends over the wire.
+    /// snapshot. The repair progress report
+    /// ([`RepairStatusReport`](crate::repair::RepairStatusReport)) is
+    /// read from the same snapshot.
     Stats,
-    /// Scrape the serving process's background-repair progress board;
-    /// answered with [`Response::Data`] holding an
-    /// [`encode_repair_status`]-serialized
-    /// [`RepairStatusReport`](crate::repair::RepairStatusReport). The
-    /// board is plain atomics, so — unlike [`Request::Stats`] — this
-    /// works with telemetry compiled out.
-    RepairStatus,
     /// Fetch one file's placement manifest from the serving node's
     /// attached metadata router; answered with [`Response::Data`]
     /// holding an [`encode_manifest`]-serialized `(shard epoch,
@@ -488,9 +479,8 @@ fn deframe(buf: &[u8]) -> Result<(Option<WireTrace>, &[u8]), ClusterError> {
 
 /// Per-frame receive timings, split at the first byte: how long the
 /// reader *waited* for the peer to start answering vs how long the body
-/// took to *arrive*. All zeros when telemetry is compiled out (no clock
-/// reads on the hot path).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// took to *arrive*.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecvTiming {
     /// Nanoseconds from entering the read to the first header byte.
     pub wait_ns: u64,
@@ -520,7 +510,7 @@ fn read_frame_into(
     r: &mut impl Read,
     scratch: &mut Vec<u8>,
 ) -> Result<Option<FrameMeta>, ClusterError> {
-    let entered = telemetry::ENABLED.then(Instant::now);
+    let entered = Instant::now();
     // Read the first byte separately to distinguish clean EOF from a
     // truncated frame.
     let mut first = [0u8; 1];
@@ -532,7 +522,7 @@ fn read_frame_into(
             Err(e) => return Err(e.into()),
         }
     }
-    let first_byte_at = telemetry::ENABLED.then(Instant::now);
+    let first_byte_at = Instant::now();
     // Rest of the magic plus the version byte.
     let mut head = [0u8; 4];
     r.read_exact(&mut head)?;
@@ -588,12 +578,12 @@ fn read_frame_into(
             reason: "payload CRC mismatch".into(),
         });
     }
-    let timing = match (entered, first_byte_at) {
-        (Some(t0), Some(t1)) => RecvTiming {
-            wait_ns: t1.duration_since(t0).as_nanos().min(u64::MAX as u128) as u64,
-            recv_ns: t1.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-        },
-        _ => RecvTiming::default(),
+    let timing = RecvTiming {
+        wait_ns: first_byte_at
+            .duration_since(entered)
+            .as_nanos()
+            .min(u64::MAX as u128) as u64,
+        recv_ns: first_byte_at.elapsed().as_nanos().min(u64::MAX as u128) as u64,
     };
     Ok(Some(FrameMeta {
         len,
@@ -654,7 +644,6 @@ impl Request {
                 put_block_id(&mut p, id);
             }
             Request::Stats => p.push(TAG_STATS),
-            Request::RepairStatus => p.push(TAG_REPAIR_STATUS),
             Request::ManifestGet { name } => {
                 p.push(TAG_MANIFEST_GET);
                 put_str(&mut p, name);
@@ -764,7 +753,6 @@ impl Request {
             }
             TAG_STAT => Request::Stat { id: r.block_id()? },
             TAG_STATS => Request::Stats,
-            TAG_REPAIR_STATUS => Request::RepairStatus,
             TAG_MANIFEST_GET => {
                 let name = r.str()?;
                 validate_file_name(&name)?;
@@ -967,8 +955,7 @@ pub fn read_response_into(
 
 /// [`read_response_into`] that also reports the wait/receive split of the
 /// read ([`RecvTiming`]) — the raw material for the client's per-phase
-/// latency histograms. The timings are zero when telemetry is compiled
-/// out.
+/// latency histograms.
 ///
 /// # Errors
 ///
@@ -1104,66 +1091,6 @@ pub fn decode_stats(buf: &[u8]) -> Result<telemetry::Snapshot, ClusterError> {
 }
 
 // ---------------------------------------------------------------------
-// Repair status on the wire.
-// ---------------------------------------------------------------------
-
-/// Version byte of the repair-status payload, bumped if fields change.
-const REPAIR_STATUS_VERSION: u8 = 1;
-
-/// Serializes the repair progress board as the [`Response::Data`] payload
-/// answering [`Request::RepairStatus`]: a version byte followed by ten
-/// little-endian `u64` fields in declaration order.
-pub fn encode_repair_status(report: &crate::repair::RepairStatusReport) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1 + 10 * 8);
-    out.push(REPAIR_STATUS_VERSION);
-    for v in [
-        report.queue_depth,
-        report.in_flight,
-        report.enqueued,
-        report.completed,
-        report.requeued,
-        report.cancelled,
-        report.abandoned,
-        report.blocks_rebuilt,
-        report.helper_bytes,
-        report.wire_bytes,
-    ] {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Decodes an [`encode_repair_status`] payload.
-///
-/// # Errors
-///
-/// Returns [`ClusterError::Protocol`] on an unknown version, truncation,
-/// or trailing bytes.
-pub fn decode_repair_status(buf: &[u8]) -> Result<crate::repair::RepairStatusReport, ClusterError> {
-    let mut r = Reader::new(buf);
-    let version = r.u8()?;
-    if version != REPAIR_STATUS_VERSION {
-        return Err(ClusterError::Protocol {
-            reason: format!("unknown repair-status version {version}"),
-        });
-    }
-    let report = crate::repair::RepairStatusReport {
-        queue_depth: r.u64()?,
-        in_flight: r.u64()?,
-        enqueued: r.u64()?,
-        completed: r.u64()?,
-        requeued: r.u64()?,
-        cancelled: r.u64()?,
-        abandoned: r.u64()?,
-        blocks_rebuilt: r.u64()?,
-        helper_bytes: r.u64()?,
-        wire_bytes: r.u64()?,
-    };
-    r.finish()?;
-    Ok(report)
-}
-
-// ---------------------------------------------------------------------
 // File manifests on the wire.
 // ---------------------------------------------------------------------
 
@@ -1292,7 +1219,6 @@ mod tests {
             },
             Request::Stat { id: id("s", 0, 0) },
             Request::Stats,
-            Request::RepairStatus,
             Request::ManifestGet {
                 name: "data.bin".into(),
             },
@@ -1399,32 +1325,6 @@ mod tests {
         assert!(read_response_into(&mut cursor, &mut scratch)
             .unwrap()
             .is_none());
-    }
-
-    #[test]
-    fn repair_status_roundtrip_and_validation() {
-        let report = crate::repair::RepairStatusReport {
-            queue_depth: 3,
-            in_flight: 2,
-            enqueued: 40,
-            completed: 30,
-            requeued: 7,
-            cancelled: 4,
-            abandoned: 1,
-            blocks_rebuilt: 33,
-            helper_bytes: 123_456,
-            wire_bytes: 130_000,
-        };
-        let bytes = encode_repair_status(&report);
-        assert_eq!(decode_repair_status(&bytes).unwrap(), report);
-        // Unknown version, truncation and trailing bytes are rejected.
-        let mut wrong = bytes.clone();
-        wrong[0] = 99;
-        assert!(decode_repair_status(&wrong).is_err());
-        assert!(decode_repair_status(&bytes[..bytes.len() - 1]).is_err());
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(decode_repair_status(&long).is_err());
     }
 
     #[test]

@@ -29,11 +29,10 @@
 //! * **backoff** — a transiently failing stripe (helpers missing, no
 //!   spare target yet) is re-queued with capped exponential backoff and
 //!   abandoned after `max_attempts`.
-//! * **observability** — gauges/histograms under `repair.*`, JSON event
-//!   lines (`{"type":"repair",...}`) when a sink is installed, and an
-//!   always-on atomic [`StatusBoard`] served over the wire via
-//!   [`Request::RepairStatus`](crate::protocol::Request::RepairStatus)
-//!   (`carousel-tool repair-status`) even with telemetry compiled out.
+//! * **observability** — gauges/counters/histograms under `repair.*`,
+//!   JSON event lines (`{"type":"repair",...}`) when a sink is installed,
+//!   and a [`RepairStatusReport`] read from any node's registry scrape
+//!   (`carousel-tool repair-status`).
 //!
 //! A scheduler binds to **one coordinator** — its liveness feed and its
 //! slice of the namespace. In a sharded deployment
@@ -46,7 +45,7 @@
 //! [`ClusterClient::repair_stripe`]: crate::ClusterClient::repair_stripe
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, LazyLock, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -106,8 +105,7 @@ fn node_fanin_gauge(node: usize) -> &'static telemetry::Gauge {
 /// Shared across the scheduler's whole worker pool via `Arc`, so the cap
 /// `F` holds cluster-wide: no datanode ever serves more than `F`
 /// concurrent repair reads no matter how many workers are draining the
-/// queue. Purely `std` state — the cap is enforced (not just observed)
-/// with the `telemetry` feature compiled out.
+/// queue.
 #[derive(Debug)]
 pub struct FanInGate {
     cap: usize,
@@ -146,10 +144,8 @@ impl FanInGate {
                 for &n in &nodes {
                     let level = counts.entry(n).or_insert(0);
                     *level += 1;
-                    if telemetry::ENABLED {
-                        FANIN_LEVEL.record(*level as u64);
-                        node_fanin_gauge(n).add(1);
-                    }
+                    FANIN_LEVEL.record(*level as u64);
+                    node_fanin_gauge(n).add(1);
                 }
                 return FanInPermit { gate: self, nodes };
             }
@@ -185,9 +181,7 @@ impl Drop for FanInPermit<'_> {
                 if *level == 0 {
                     counts.remove(&n);
                 }
-                if telemetry::ENABLED {
-                    node_fanin_gauge(n).add(-1);
-                }
+                node_fanin_gauge(n).add(-1);
             }
         }
         drop(counts);
@@ -236,10 +230,10 @@ impl RateLimiter {
     }
 }
 
-/// Point-in-time repair progress served over the wire for
-/// [`Request::RepairStatus`](crate::protocol::Request::RepairStatus).
-/// Plain atomic totals — available (unlike `Stats`) with the `telemetry`
-/// feature compiled out.
+/// Point-in-time repair progress of a whole process: the `repair.*`
+/// queue gauges and stripe/byte counters of its registry, summed over
+/// every [`RepairScheduler`] it runs. Per-scheduler numbers are
+/// [`RepairScheduler::status`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStatusReport {
     /// Stripes currently queued (not yet picked up).
@@ -265,55 +259,25 @@ pub struct RepairStatusReport {
     pub wire_bytes: u64,
 }
 
-/// Process-global repair progress board, updated by every
-/// [`RepairScheduler`] in the process and served by every datanode the
-/// process hosts. Tests wanting per-scheduler numbers should use
-/// [`RepairScheduler::status`] instead.
-#[derive(Debug, Default)]
-pub struct StatusBoard {
-    queue_depth: AtomicI64,
-    in_flight: AtomicI64,
-    enqueued: AtomicU64,
-    completed: AtomicU64,
-    requeued: AtomicU64,
-    cancelled: AtomicU64,
-    abandoned: AtomicU64,
-    blocks_rebuilt: AtomicU64,
-    helper_bytes: AtomicU64,
-    wire_bytes: AtomicU64,
-}
-
-impl StatusBoard {
-    /// The process-wide board.
-    pub fn global() -> &'static StatusBoard {
-        static BOARD: StatusBoard = StatusBoard {
-            queue_depth: AtomicI64::new(0),
-            in_flight: AtomicI64::new(0),
-            enqueued: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            requeued: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            abandoned: AtomicU64::new(0),
-            blocks_rebuilt: AtomicU64::new(0),
-            helper_bytes: AtomicU64::new(0),
-            wire_bytes: AtomicU64::new(0),
-        };
-        &BOARD
-    }
-
-    /// Snapshot of the board.
-    pub fn report(&self) -> RepairStatusReport {
+impl RepairStatusReport {
+    /// Reads the report out of a registry snapshot (e.g. a node's
+    /// [`Request::Stats`](crate::protocol::Request::Stats) scrape). A
+    /// metric the snapshot lacks — no scheduler has run in that process
+    /// — reads 0.
+    pub fn from_snapshot(snap: &telemetry::Snapshot) -> Self {
+        let gauge = |name: &str| snap.gauge(name).unwrap_or(0).max(0) as u64;
+        let counter = |name: &str| snap.counter(name).unwrap_or(0);
         RepairStatusReport {
-            queue_depth: self.queue_depth.load(Ordering::Relaxed).max(0) as u64,
-            in_flight: self.in_flight.load(Ordering::Relaxed).max(0) as u64,
-            enqueued: self.enqueued.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            requeued: self.requeued.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            abandoned: self.abandoned.load(Ordering::Relaxed),
-            blocks_rebuilt: self.blocks_rebuilt.load(Ordering::Relaxed),
-            helper_bytes: self.helper_bytes.load(Ordering::Relaxed),
-            wire_bytes: self.wire_bytes.load(Ordering::Relaxed),
+            queue_depth: gauge("repair.queue.depth"),
+            in_flight: gauge("repair.inflight"),
+            enqueued: counter("repair.stripe.enqueued"),
+            completed: counter("repair.stripe.completed"),
+            requeued: counter("repair.stripe.requeued"),
+            cancelled: counter("repair.stripe.cancelled"),
+            abandoned: counter("repair.stripe.abandoned"),
+            blocks_rebuilt: counter("repair.blocks.rebuilt"),
+            helper_bytes: counter("repair.helper.bytes"),
+            wire_bytes: counter("repair.wire.bytes"),
         }
     }
 }
@@ -363,8 +327,8 @@ impl Default for RepairConfig {
     }
 }
 
-/// Per-scheduler progress snapshot (see also the process-global
-/// [`StatusBoard`]).
+/// Per-scheduler progress snapshot (see also the process-wide
+/// [`RepairStatusReport`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerStatus {
     /// Stripes currently queued.
@@ -541,18 +505,11 @@ struct Inner {
 }
 
 impl Inner {
-    /// Mirrors the queue's depth/in-flight into the gauges and the global
-    /// board. Called under the queue lock after every mutation.
+    /// Mirrors the queue's depth/in-flight into the gauges. Called under
+    /// the queue lock after every mutation.
     fn sync_gauges(&self, q: &RepairQueue) {
-        let depth = q.tasks.len() as i64;
-        let in_flight = q.in_flight as i64;
-        if telemetry::ENABLED {
-            QUEUE_DEPTH.set(depth);
-            INFLIGHT.set(in_flight);
-        }
-        let board = StatusBoard::global();
-        board.queue_depth.store(depth, Ordering::Relaxed);
-        board.in_flight.store(in_flight, Ordering::Relaxed);
+        QUEUE_DEPTH.set(q.tasks.len() as i64);
+        INFLIGHT.set(q.in_flight as i64);
     }
 
     fn emit(
@@ -597,12 +554,7 @@ impl Inner {
             self.totals
                 .enqueued
                 .fetch_add(fresh.len() as u64, Ordering::Relaxed);
-            StatusBoard::global()
-                .enqueued
-                .fetch_add(fresh.len() as u64, Ordering::Relaxed);
-            if telemetry::ENABLED {
-                ENQUEUED.add(fresh.len() as u64);
-            }
+            ENQUEUED.add(fresh.len() as u64);
             self.sync_gauges(&q);
         }
         self.cv.notify_all();
@@ -645,12 +597,7 @@ impl Inner {
             self.totals
                 .cancelled
                 .fetch_add(cancelled.len() as u64, Ordering::Relaxed);
-            StatusBoard::global()
-                .cancelled
-                .fetch_add(cancelled.len() as u64, Ordering::Relaxed);
-            if telemetry::ENABLED {
-                CANCELLED.add(cancelled.len() as u64);
-            }
+            CANCELLED.add(cancelled.len() as u64);
             self.sync_gauges(&q);
         }
         self.cv.notify_all();
@@ -816,12 +763,7 @@ impl RepairScheduler {
             let mut q = self.inner.queue.lock().expect("repair queue lock");
             if q.insert_or_upgrade(key.clone(), erasures, Instant::now()) {
                 self.inner.totals.enqueued.fetch_add(1, Ordering::Relaxed);
-                StatusBoard::global()
-                    .enqueued
-                    .fetch_add(1, Ordering::Relaxed);
-                if telemetry::ENABLED {
-                    ENQUEUED.inc();
-                }
+                ENQUEUED.inc();
             }
             self.inner.sync_gauges(&q);
         }
@@ -917,11 +859,8 @@ fn worker_loop(inner: &Inner) {
         )
         .with_pipeline_depth(0)
         .with_repair_gate(Arc::clone(&inner.gate));
-    let board = StatusBoard::global();
     while let Some((key, task)) = inner.next_task() {
-        if telemetry::ENABLED {
-            WAIT_US.record(task.enqueued_at.elapsed().as_micros() as u64);
-        }
+        WAIT_US.record(task.enqueued_at.elapsed().as_micros() as u64);
         Inner::emit(&key, "start", |obj| {
             obj.u64("erasures", task.erasures as u64)
                 .u64("attempts", task.attempts as u64)
@@ -929,20 +868,15 @@ fn worker_loop(inner: &Inner) {
         let started = Instant::now();
         match client.repair_stripe(&key.file, key.stripe) {
             Ok(report) => {
-                if telemetry::ENABLED {
-                    REBUILD_US.record(started.elapsed().as_micros() as u64);
-                }
+                REBUILD_US.record(started.elapsed().as_micros() as u64);
                 if report.blocks_repaired == 0 {
                     // Already healthy — the flapping node brought its
                     // blocks back before we got here. Absorbed.
                     inner.totals.cancelled.fetch_add(1, Ordering::Relaxed);
-                    board.cancelled.fetch_add(1, Ordering::Relaxed);
-                    if telemetry::ENABLED {
-                        CANCELLED.inc();
-                    }
+                    CANCELLED.inc();
                     Inner::emit(&key, "absorb", |obj| obj);
                 } else {
-                    note_completed(inner, board, &report);
+                    note_completed(inner, &report);
                     Inner::emit(&key, "done", |obj| {
                         obj.u64("blocks", report.blocks_repaired as u64)
                             .u64("helper_bytes", report.helper_payload_bytes)
@@ -959,32 +893,23 @@ fn worker_loop(inner: &Inner) {
             }
             Err(e) if permanent(&e) => {
                 inner.totals.cancelled.fetch_add(1, Ordering::Relaxed);
-                board.cancelled.fetch_add(1, Ordering::Relaxed);
-                if telemetry::ENABLED {
-                    CANCELLED.inc();
-                }
+                CANCELLED.inc();
                 Inner::emit(&key, "cancel", |obj| obj.str("error", &e.to_string()));
             }
             Err(e) => {
                 let attempts = task.attempts + 1;
                 if attempts >= inner.cfg.max_attempts {
                     inner.totals.abandoned.fetch_add(1, Ordering::Relaxed);
-                    board.abandoned.fetch_add(1, Ordering::Relaxed);
-                    if telemetry::ENABLED {
-                        ABANDONED.inc();
-                    }
+                    ABANDONED.inc();
                     Inner::emit(&key, "abandon", |obj| {
                         obj.u64("attempts", attempts as u64)
                             .str("error", &e.to_string())
                     });
                 } else {
                     let delay = inner.backoff(attempts);
-                    if telemetry::ENABLED {
-                        BACKOFF_MS.record(delay.as_millis() as u64);
-                        REQUEUED.inc();
-                    }
+                    BACKOFF_MS.record(delay.as_millis() as u64);
+                    REQUEUED.inc();
                     inner.totals.requeued.fetch_add(1, Ordering::Relaxed);
-                    board.requeued.fetch_add(1, Ordering::Relaxed);
                     {
                         let mut q = inner.queue.lock().expect("repair queue lock");
                         q.requeue(
@@ -1011,7 +936,7 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
-fn note_completed(inner: &Inner, board: &StatusBoard, report: &RepairReport) {
+fn note_completed(inner: &Inner, report: &RepairReport) {
     inner.totals.completed.fetch_add(1, Ordering::Relaxed);
     inner
         .totals
@@ -1025,22 +950,10 @@ fn note_completed(inner: &Inner, board: &StatusBoard, report: &RepairReport) {
         .totals
         .wire_bytes
         .fetch_add(report.wire_bytes, Ordering::Relaxed);
-    board.completed.fetch_add(1, Ordering::Relaxed);
-    board
-        .blocks_rebuilt
-        .fetch_add(report.blocks_repaired as u64, Ordering::Relaxed);
-    board
-        .helper_bytes
-        .fetch_add(report.helper_payload_bytes, Ordering::Relaxed);
-    board
-        .wire_bytes
-        .fetch_add(report.wire_bytes, Ordering::Relaxed);
-    if telemetry::ENABLED {
-        COMPLETED.inc();
-        BLOCKS_REBUILT.add(report.blocks_repaired as u64);
-        HELPER_BYTES.add(report.helper_payload_bytes);
-        WIRE_BYTES.add(report.wire_bytes);
-    }
+    COMPLETED.inc();
+    BLOCKS_REBUILT.add(report.blocks_repaired as u64);
+    HELPER_BYTES.add(report.helper_payload_bytes);
+    WIRE_BYTES.add(report.wire_bytes);
 }
 
 #[cfg(test)]

@@ -274,10 +274,8 @@ pub(crate) fn plan_block_read(
         data_units: alpha * k0,
         sub,
     };
-    if telemetry::ENABLED {
-        BLOCK_READS.inc();
-        DEGRADED_TRAFFIC.record(plan.traffic_units() as u64);
-    }
+    BLOCK_READS.inc();
+    DEGRADED_TRAFFIC.record(plan.traffic_units() as u64);
     Ok(plan)
 }
 

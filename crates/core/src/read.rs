@@ -198,14 +198,12 @@ fn finish(code: &Carousel, plan: DecodePlan, mode: ReadMode) -> ReadPlan {
         units_per_node: per_node,
         sub: code.sub(),
     };
-    if telemetry::ENABLED {
-        match mode {
-            ReadMode::Direct => READS_DIRECT.inc(),
-            ReadMode::Degraded => READS_DEGRADED.inc(),
-            ReadMode::Fallback => READS_FALLBACK.inc(),
-        }
-        READ_TRAFFIC.record(plan.traffic_units() as u64);
+    match mode {
+        ReadMode::Direct => READS_DIRECT.inc(),
+        ReadMode::Degraded => READS_DEGRADED.inc(),
+        ReadMode::Fallback => READS_FALLBACK.inc(),
     }
+    READ_TRAFFIC.record(plan.traffic_units() as u64);
     plan
 }
 

@@ -41,12 +41,10 @@ static DECODE_MB: LazyLock<&'static telemetry::Counter> =
 
 /// Feeds one finished download into the per-download metrics.
 fn record_download(res: &DownloadResult) {
-    if telemetry::ENABLED {
-        DOWNLOADS.inc();
-        DOWNLOAD_MB.record_f64(res.downloaded_mb);
-        DOWNLOAD_MS.record_f64(res.seconds * 1e3);
-        DECODE_MB.add(res.decoded_mb.round() as u64);
-    }
+    DOWNLOADS.inc();
+    DOWNLOAD_MB.record_f64(res.downloaded_mb);
+    DOWNLOAD_MS.record_f64(res.seconds * 1e3);
+    DECODE_MB.add(res.decoded_mb.round() as u64);
 }
 
 /// Outcome of a simulated download.

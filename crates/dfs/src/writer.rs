@@ -168,11 +168,9 @@ pub fn ingest_file(
             Ev::BlockWritten => {}
         }
     }
-    if telemetry::ENABLED {
-        INGESTS.inc();
-        INGEST_MB.record_f64(network_mb);
-        INGEST_ENCODED_MB.add(encoded_mb.round() as u64);
-    }
+    INGESTS.inc();
+    INGEST_MB.record_f64(network_mb);
+    INGEST_ENCODED_MB.add(encoded_mb.round() as u64);
     IngestReport {
         seconds: last_t,
         network_mb,

@@ -194,13 +194,9 @@ impl DecodePlan {
     }
 
     fn combine(&self, unit_slices: &[&[u8]], w: usize) -> Vec<u8> {
-        let _timer = if telemetry::ENABLED {
-            DECODE_OPS.inc();
-            DECODE_BYTES.add((self.message_units * w) as u64);
-            Some(telemetry::span("erasure.decode.ns"))
-        } else {
-            None
-        };
+        DECODE_OPS.inc();
+        DECODE_BYTES.add((self.message_units * w) as u64);
+        let _timer = telemetry::span("erasure.decode.ns");
         let kernel = gf256::kernel();
         let mut out = vec![0u8; self.message_units * w];
         let mut terms = Vec::with_capacity(unit_slices.len());

@@ -1,4 +1,5 @@
-//! The real implementation, compiled when the `telemetry` feature is on.
+//! Metric handles, the process-wide registry, RAII spans and the event
+//! sink.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

@@ -10,271 +10,173 @@
 //!
 //! Ids are `(pid << 32) | seq` from a process-local counter — unique
 //! across the processes of a loopback cluster without any global
-//! randomness. With the `telemetry` feature off every type here is a
-//! zero-sized no-op and [`TraceCtx::wire`] returns `None`, so frames are
-//! never extended (pinned by `zero_sized_when_disabled`).
+//! randomness.
 
-#[cfg(feature = "telemetry")]
-mod real {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
-    use crate::json::Obj;
-    use crate::{emit_event, event_sink_installed, histogram};
+use crate::json::Obj;
+use crate::{emit_event, event_sink_installed, histogram};
 
-    /// A fresh process-unique nonzero id: high 32 bits are the PID, low
-    /// 32 bits a sequence number (0 is reserved for "absent").
-    fn next_id() -> u64 {
-        static NEXT: AtomicU64 = AtomicU64::new(1);
-        loop {
-            let seq = NEXT.fetch_add(1, Ordering::Relaxed);
-            let id = ((std::process::id() as u64) << 32) ^ seq;
-            if id != 0 {
-                return id;
-            }
-        }
-    }
-
-    /// Identifies one end-to-end request across every process it touches.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    pub struct TraceId(pub u64);
-
-    impl TraceId {
-        /// The raw id (nonzero for a live trace).
-        pub fn as_u64(self) -> u64 {
-            self.0
-        }
-    }
-
-    /// Identifies one timed span within a trace.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    pub struct SpanId(pub u64);
-
-    impl SpanId {
-        /// The raw id (0 means "no span": the root of a trace).
-        pub fn as_u64(self) -> u64 {
-            self.0
-        }
-    }
-
-    /// A by-value trace context: which trace we are in and which span is
-    /// the current parent. `Copy`, 16 bytes — thread it through calls and
-    /// closures freely.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct TraceCtx {
-        trace: u64,
-        span: u64,
-    }
-
-    impl TraceCtx {
-        /// Starts a brand-new trace with no parent span.
-        pub fn root() -> TraceCtx {
-            TraceCtx {
-                trace: next_id(),
-                span: 0,
-            }
-        }
-
-        /// Adopts a context received over the wire as `(trace, span)`
-        /// raw ids; `None` (or a zero trace id) starts a fresh root —
-        /// requests from peers too old to propagate a context still get
-        /// locally coherent spans.
-        pub fn adopt(wire: Option<(u64, u64)>) -> TraceCtx {
-            match wire {
-                Some((trace, span)) if trace != 0 => TraceCtx { trace, span },
-                _ => TraceCtx::root(),
-            }
-        }
-
-        /// The raw `(trace, span)` pair to stamp on an outgoing frame.
-        /// `None` when this build does not trace (feature off).
-        pub fn wire(&self) -> Option<(u64, u64)> {
-            Some((self.trace, self.span))
-        }
-
-        /// The trace id.
-        pub fn trace_id(&self) -> TraceId {
-            TraceId(self.trace)
-        }
-
-        /// The current parent span id (0 at the root).
-        pub fn span_id(&self) -> SpanId {
-            SpanId(self.span)
-        }
-
-        /// Opens a timed child span. On drop it records its duration in
-        /// **microseconds** into the global histogram `name` and, when an
-        /// event sink is installed, emits a `trace` JSON line linking it
-        /// to this context's span.
-        pub fn child(&self, name: &'static str) -> TraceSpan {
-            TraceSpan {
-                name,
-                trace: self.trace,
-                span: next_id(),
-                parent: self.span,
-                start: Instant::now(),
-            }
-        }
-
-        /// Records an already-measured child span (e.g. queue wait timed
-        /// retroactively once service starts): histogram `name` gets the
-        /// duration in microseconds and a completed `trace` line is
-        /// emitted under this context.
-        pub fn span_with(&self, name: &'static str, dur: Duration) {
-            emit_trace(name, self.trace, next_id(), self.span, dur);
-        }
-    }
-
-    /// An RAII timed span inside a trace; created by [`TraceCtx::child`].
-    #[derive(Debug)]
-    pub struct TraceSpan {
-        name: &'static str,
-        trace: u64,
-        span: u64,
-        parent: u64,
-        start: Instant,
-    }
-
-    impl TraceSpan {
-        /// The context for work nested under this span: same trace, this
-        /// span as the parent. Also the value to send over the wire so a
-        /// remote peer's spans link here.
-        pub fn ctx(&self) -> TraceCtx {
-            TraceCtx {
-                trace: self.trace,
-                span: self.span,
-            }
-        }
-
-        /// The span's histogram name.
-        pub fn name(&self) -> &'static str {
-            self.name
-        }
-    }
-
-    impl Drop for TraceSpan {
-        fn drop(&mut self) {
-            emit_trace(
-                self.name,
-                self.trace,
-                self.span,
-                self.parent,
-                self.start.elapsed(),
-            );
-        }
-    }
-
-    fn emit_trace(name: &'static str, trace: u64, span: u64, parent: u64, dur: Duration) {
-        let us = dur.as_micros().min(u64::MAX as u128) as u64;
-        histogram(name).record(us);
-        if event_sink_installed() {
-            let mut obj = Obj::new()
-                .str("type", "trace")
-                .str("name", name)
-                .u64("trace", trace)
-                .u64("span", span)
-                .u64("dur_us", us);
-            if parent != 0 {
-                obj = obj.u64("parent", parent);
-            }
-            emit_event(obj);
+/// A fresh process-unique nonzero id: high 32 bits are the PID, low
+/// 32 bits a sequence number (0 is reserved for "absent").
+fn next_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    loop {
+        let seq = NEXT.fetch_add(1, Ordering::Relaxed);
+        let id = ((std::process::id() as u64) << 32) ^ seq;
+        if id != 0 {
+            return id;
         }
     }
 }
 
-#[cfg(feature = "telemetry")]
-pub use real::{SpanId, TraceCtx, TraceId, TraceSpan};
+/// Identifies one end-to-end request across every process it touches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TraceId(pub u64);
 
-#[cfg(not(feature = "telemetry"))]
-mod disabled {
-    use std::time::Duration;
-
-    /// No-op stand-in for the trace id.
-    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
-    pub struct TraceId;
-
-    impl TraceId {
-        /// Always zero.
-        #[inline(always)]
-        pub fn as_u64(self) -> u64 {
-            0
-        }
-    }
-
-    /// No-op stand-in for the span id.
-    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
-    pub struct SpanId;
-
-    impl SpanId {
-        /// Always zero.
-        #[inline(always)]
-        pub fn as_u64(self) -> u64 {
-            0
-        }
-    }
-
-    /// No-op stand-in for the trace context.
-    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-    pub struct TraceCtx;
-
-    impl TraceCtx {
-        /// A no-op context.
-        #[inline(always)]
-        pub fn root() -> TraceCtx {
-            TraceCtx
-        }
-        /// Ignores the wire value.
-        #[inline(always)]
-        pub fn adopt(_wire: Option<(u64, u64)>) -> TraceCtx {
-            TraceCtx
-        }
-        /// Always `None`: untraced builds never extend a frame.
-        #[inline(always)]
-        pub fn wire(&self) -> Option<(u64, u64)> {
-            None
-        }
-        /// A no-op id.
-        #[inline(always)]
-        pub fn trace_id(&self) -> TraceId {
-            TraceId
-        }
-        /// A no-op id.
-        #[inline(always)]
-        pub fn span_id(&self) -> SpanId {
-            SpanId
-        }
-        /// A no-op span.
-        #[inline(always)]
-        pub fn child(&self, _name: &'static str) -> TraceSpan {
-            TraceSpan
-        }
-        /// Does nothing.
-        #[inline(always)]
-        pub fn span_with(&self, _name: &'static str, _dur: Duration) {}
-    }
-
-    /// No-op stand-in for the RAII trace span.
-    #[derive(Debug, Default, Clone, Copy)]
-    pub struct TraceSpan;
-
-    impl TraceSpan {
-        /// A no-op context.
-        #[inline(always)]
-        pub fn ctx(&self) -> TraceCtx {
-            TraceCtx
-        }
-        /// Always the empty string.
-        #[inline(always)]
-        pub fn name(&self) -> &'static str {
-            ""
-        }
+impl TraceId {
+    /// The raw id (nonzero for a live trace).
+    pub fn as_u64(self) -> u64 {
+        self.0
     }
 }
 
-#[cfg(not(feature = "telemetry"))]
-pub use disabled::{SpanId, TraceCtx, TraceId, TraceSpan};
+/// Identifies one timed span within a trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SpanId(pub u64);
 
-#[cfg(all(test, feature = "telemetry"))]
+impl SpanId {
+    /// The raw id (0 means "no span": the root of a trace).
+    pub fn as_u64(self) -> u64 {
+        self.0
+    }
+}
+
+/// A by-value trace context: which trace we are in and which span is
+/// the current parent. `Copy`, 16 bytes — thread it through calls and
+/// closures freely.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceCtx {
+    trace: u64,
+    span: u64,
+}
+
+impl TraceCtx {
+    /// Starts a brand-new trace with no parent span.
+    pub fn root() -> TraceCtx {
+        TraceCtx {
+            trace: next_id(),
+            span: 0,
+        }
+    }
+
+    /// Adopts a context received over the wire as `(trace, span)`
+    /// raw ids; `None` (or a zero trace id) starts a fresh root —
+    /// requests from peers too old to propagate a context still get
+    /// locally coherent spans.
+    pub fn adopt(wire: Option<(u64, u64)>) -> TraceCtx {
+        match wire {
+            Some((trace, span)) if trace != 0 => TraceCtx { trace, span },
+            _ => TraceCtx::root(),
+        }
+    }
+
+    /// The raw `(trace, span)` pair to stamp on an outgoing frame.
+    pub fn wire(&self) -> (u64, u64) {
+        (self.trace, self.span)
+    }
+
+    /// The trace id.
+    pub fn trace_id(&self) -> TraceId {
+        TraceId(self.trace)
+    }
+
+    /// The current parent span id (0 at the root).
+    pub fn span_id(&self) -> SpanId {
+        SpanId(self.span)
+    }
+
+    /// Opens a timed child span. On drop it records its duration in
+    /// **microseconds** into the global histogram `name` and, when an
+    /// event sink is installed, emits a `trace` JSON line linking it
+    /// to this context's span.
+    pub fn child(&self, name: &'static str) -> TraceSpan {
+        TraceSpan {
+            name,
+            trace: self.trace,
+            span: next_id(),
+            parent: self.span,
+            start: Instant::now(),
+        }
+    }
+
+    /// Records an already-measured child span (e.g. queue wait timed
+    /// retroactively once service starts): histogram `name` gets the
+    /// duration in microseconds and a completed `trace` line is
+    /// emitted under this context.
+    pub fn span_with(&self, name: &'static str, dur: Duration) {
+        emit_trace(name, self.trace, next_id(), self.span, dur);
+    }
+}
+
+/// An RAII timed span inside a trace; created by [`TraceCtx::child`].
+#[derive(Debug)]
+pub struct TraceSpan {
+    name: &'static str,
+    trace: u64,
+    span: u64,
+    parent: u64,
+    start: Instant,
+}
+
+impl TraceSpan {
+    /// The context for work nested under this span: same trace, this
+    /// span as the parent. Also the value to send over the wire so a
+    /// remote peer's spans link here.
+    pub fn ctx(&self) -> TraceCtx {
+        TraceCtx {
+            trace: self.trace,
+            span: self.span,
+        }
+    }
+
+    /// The span's histogram name.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+}
+
+impl Drop for TraceSpan {
+    fn drop(&mut self) {
+        emit_trace(
+            self.name,
+            self.trace,
+            self.span,
+            self.parent,
+            self.start.elapsed(),
+        );
+    }
+}
+
+fn emit_trace(name: &'static str, trace: u64, span: u64, parent: u64, dur: Duration) {
+    let us = dur.as_micros().min(u64::MAX as u128) as u64;
+    histogram(name).record(us);
+    if event_sink_installed() {
+        let mut obj = Obj::new()
+            .str("type", "trace")
+            .str("name", name)
+            .u64("trace", trace)
+            .u64("span", span)
+            .u64("dur_us", us);
+        if parent != 0 {
+            obj = obj.u64("parent", parent);
+        }
+        emit_event(obj);
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::{Arc, Mutex};
@@ -294,7 +196,7 @@ mod tests {
     fn wire_roundtrip_preserves_ids() {
         let root = TraceCtx::root();
         let span = root.child("trace.test.child_us");
-        let sent = span.ctx().wire().expect("enabled builds carry a ctx");
+        let sent = span.ctx().wire();
         let adopted = TraceCtx::adopt(Some(sent));
         assert_eq!(adopted.trace_id(), root.trace_id());
         assert_eq!(adopted.span_id().as_u64(), sent.1);

@@ -1,16 +1,14 @@
 #!/usr/bin/env bash
-# Repo-wide hygiene gate: formatting, lints, and the full test suite in
-# both telemetry configurations. Run from anywhere inside the repo.
+# Repo-wide hygiene gate: formatting, guards, lints, docs, the full test
+# suite and the bench smokes, in the workspace's one build configuration
+# (telemetry is always on). Run from anywhere inside the repo:
 #
-#   scripts/check.sh          # everything (fmt, clippy, tests x2)
-#   scripts/check.sh fast     # skip the --no-default-features test pass
+#   scripts/check.sh
 #
 # Everything runs --offline: this workspace vendors its few dependencies
 # under crates/vendor/ and must build without network access.
 set -euo pipefail
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
-
-mode="${1:-full}"
 
 step() { printf '\n==> %s\n' "$*"; }
 
@@ -90,89 +88,58 @@ if [ -n "$guard_hits" ]; then
   exit 1
 fi
 
-step "cargo clippy (default features, -D warnings)"
-cargo clippy --workspace --all-targets --offline -- -D warnings
+step "telemetry guard: one always-on build"
+# Telemetry is unconditional: no crate may compile it out again, and no
+# code may branch on whether it is there.
+guard_hits=$(grep -rnE 'telemetry::ENABLED|feature *= *"telemetry"|--no-default-features' \
+  src tests examples crates/*/src || true)
+if [ -n "$guard_hits" ]; then
+  printf 'telemetry is always on; remove the switch:\n%s\n' "$guard_hits" >&2
+  exit 1
+fi
 
-step "cargo clippy (--no-default-features, -D warnings)"
-cargo clippy --workspace --all-targets --no-default-features --offline -- -D warnings
+step "cargo clippy (-D warnings)"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Vendored third-party crates are excluded from the doc gate; only our
 # own crates must document cleanly.
 doc_excludes=(--exclude rand --exclude proptest --exclude criterion)
 
-step "cargo doc (default features, warnings as errors)"
+step "cargo doc (warnings as errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps "${doc_excludes[@]}" --offline -q
 
-step "cargo doc (--no-default-features, warnings as errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps "${doc_excludes[@]}" --no-default-features --offline -q
-
-step "cargo test (default features: telemetry on)"
+step "cargo test"
 cargo test --workspace --offline -q
 
-step "cluster loopback smoke test (telemetry on)"
+step "cluster loopback smoke test"
 cargo test --offline -q --test cluster_loopback
 
-step "kernel bench smoke + JSONL schema check (telemetry on)"
-metrics_on=$(mktemp /tmp/carousel-metrics-on.XXXXXX.jsonl)
-cargo run --release --offline -p carousel-bench --bin ext_kernels -- --smoke --metrics "$metrics_on"
-cargo run --release --offline -p carousel-bench --bin jsonl_check -- "$metrics_on"
-rm -f "$metrics_on"
+step "kernel bench smoke + JSONL schema check"
+metrics=$(mktemp /tmp/carousel-metrics.XXXXXX.jsonl)
+cargo run --release --offline -p carousel-bench --bin ext_kernels -- --smoke --metrics "$metrics"
+cargo run --release --offline -p carousel-bench --bin jsonl_check -- "$metrics"
+rm -f "$metrics"
 
-step "wire-parallelism bench smoke (telemetry on)"
+step "wire-parallelism bench smoke"
 cargo run --release --offline -p carousel-bench --bin ext_pipeline -- --smoke
 
-step "observability bench smoke (telemetry on)"
+step "observability bench smoke"
 cargo run --release --offline -p carousel-bench --bin ext_observe -- --smoke
 
-step "repair-storm bench smoke (telemetry on)"
+step "repair-storm bench smoke"
 cargo run --release --offline -p carousel-bench --bin ext_repair_storm -- --smoke
 
-step "metadata scale-out bench smoke + JSONL schema check (telemetry on)"
-meta_on=$(mktemp /tmp/carousel-meta-on.XXXXXX.jsonl)
-cargo run --release --offline -p carousel-bench --bin ext_metadata -- --smoke --metrics "$meta_on"
-cargo run --release --offline -p carousel-bench --bin jsonl_check -- "$meta_on"
-rm -f "$meta_on"
+step "metadata scale-out bench smoke + JSONL schema check"
+meta_jsonl=$(mktemp /tmp/carousel-meta.XXXXXX.jsonl)
+cargo run --release --offline -p carousel-bench --bin ext_metadata -- --smoke --metrics "$meta_jsonl"
+cargo run --release --offline -p carousel-bench --bin jsonl_check -- "$meta_jsonl"
+rm -f "$meta_jsonl"
 
-step "update/packing bench smoke + JSONL schema check (telemetry on)"
-upd_on=$(mktemp /tmp/carousel-update-on.XXXXXX.jsonl)
-cargo run --release --offline -p carousel-bench --bin ext_update -- --smoke --metrics "$upd_on"
-cargo run --release --offline -p carousel-bench --bin jsonl_check -- "$upd_on"
-rm -f "$upd_on"
-
-if [ "$mode" != "fast" ]; then
-  step "cargo test (--no-default-features: telemetry compiled out)"
-  cargo test --workspace --no-default-features --offline -q
-
-  step "cluster loopback smoke test (telemetry off)"
-  cargo test --offline -q --no-default-features --test cluster_loopback
-
-  step "kernel bench smoke + JSONL schema check (telemetry off)"
-  metrics_off=$(mktemp /tmp/carousel-metrics-off.XXXXXX.jsonl)
-  cargo run --release --offline -p carousel-bench --no-default-features --bin ext_kernels -- --smoke --metrics "$metrics_off"
-  cargo run --release --offline -p carousel-bench --no-default-features --bin jsonl_check -- "$metrics_off"
-  rm -f "$metrics_off"
-
-  step "wire-parallelism bench smoke (telemetry off)"
-  cargo run --release --offline -p carousel-bench --no-default-features --bin ext_pipeline -- --smoke
-
-  step "observability bench smoke (telemetry off)"
-  cargo run --release --offline -p carousel-bench --no-default-features --bin ext_observe -- --smoke
-
-  step "repair-storm bench smoke (telemetry off)"
-  cargo run --release --offline -p carousel-bench --no-default-features --bin ext_repair_storm -- --smoke
-
-  step "metadata scale-out bench smoke + JSONL schema check (telemetry off)"
-  meta_off=$(mktemp /tmp/carousel-meta-off.XXXXXX.jsonl)
-  cargo run --release --offline -p carousel-bench --no-default-features --bin ext_metadata -- --smoke --metrics "$meta_off"
-  cargo run --release --offline -p carousel-bench --no-default-features --bin jsonl_check -- "$meta_off"
-  rm -f "$meta_off"
-
-  step "update/packing bench smoke + JSONL schema check (telemetry off)"
-  upd_off=$(mktemp /tmp/carousel-update-off.XXXXXX.jsonl)
-  cargo run --release --offline -p carousel-bench --no-default-features --bin ext_update -- --smoke --metrics "$upd_off"
-  cargo run --release --offline -p carousel-bench --no-default-features --bin jsonl_check -- "$upd_off"
-  rm -f "$upd_off"
-fi
+step "update/packing bench smoke + JSONL schema check"
+upd=$(mktemp /tmp/carousel-update.XXXXXX.jsonl)
+cargo run --release --offline -p carousel-bench --bin ext_update -- --smoke --metrics "$upd"
+cargo run --release --offline -p carousel-bench --bin jsonl_check -- "$upd"
+rm -f "$upd"
 
 step "cross-compile gate: aarch64 NEON kernel path"
 # The NEON kernel cannot run on x86 CI, but it must at least keep

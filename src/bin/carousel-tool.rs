@@ -28,8 +28,9 @@
 //! a durable metadata record log (the *manifest*), `get` replays that
 //! log and reads the file back (degrading transparently if nodes died),
 //! `stats` scrapes one node's telemetry registry over the wire, and
-//! `repair-status` reads the process-wide background-repair scoreboard
-//! (queue depth, in-flight rebuilds, completion counters). `repair` is
+//! `repair-status` reads the process-wide background-repair progress
+//! (queue depth, in-flight rebuilds, completion counters) out of that
+//! same scrape. `repair` is
 //! polymorphic: given a block directory it repairs locally, given a
 //! manifest log it rebuilds missing blocks over the network, committing
 //! every re-homed block back to the log. `manifest dump` prints the
@@ -690,13 +691,16 @@ fn manifest_compact(path: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// Scrapes one datanode's telemetry registry over the wire
-/// ([`cluster::Request::Stats`]) and prints every metric.
-fn stats_cluster(args: &[String]) -> Result<(), String> {
+/// Scrapes the telemetry registry of the datanode at `args[0]` over the
+/// wire ([`cluster::Request::Stats`]); `cmd` prefixes error messages.
+fn scrape_stats(
+    cmd: &str,
+    args: &[String],
+) -> Result<(std::net::SocketAddr, telemetry::Snapshot), String> {
     use cluster::protocol;
     use cluster::{Request, Response};
 
-    let addr = args.first().ok_or("stats: missing <addr>")?;
+    let addr = args.first().ok_or(format!("{cmd}: missing <addr>"))?;
     let addr: std::net::SocketAddr = addr
         .parse()
         .map_err(|_| format!("invalid node address {addr:?}"))?;
@@ -708,14 +712,21 @@ fn stats_cluster(args: &[String]) -> Result<(), String> {
     let mut scratch = Vec::new();
     let reply = protocol::read_response_into(&mut stream, &mut scratch)
         .map_err(err_str)?
-        .ok_or("stats: node closed the connection without replying")?;
-    let snap = match reply.0 {
-        Response::Data(bytes) => protocol::decode_stats(&bytes).map_err(err_str)?,
-        Response::Error(message) => return Err(format!("stats: node error: {message}")),
-        other => return Err(format!("stats: unexpected reply {other:?}")),
-    };
+        .ok_or(format!(
+            "{cmd}: node closed the connection without replying"
+        ))?;
+    match reply.0 {
+        Response::Data(bytes) => Ok((addr, protocol::decode_stats(&bytes).map_err(err_str)?)),
+        Response::Error(message) => Err(format!("{cmd}: node error: {message}")),
+        other => Err(format!("{cmd}: unexpected reply {other:?}")),
+    }
+}
+
+/// Scrapes one datanode's telemetry registry and prints every metric.
+fn stats_cluster(args: &[String]) -> Result<(), String> {
+    let (addr, snap) = scrape_stats("stats", args)?;
     if snap.counters.is_empty() && snap.gauges.is_empty() && snap.histograms.is_empty() {
-        println!("{addr}: no metrics (node built without the telemetry feature?)");
+        println!("{addr}: no metrics recorded yet");
         return Ok(());
     }
     for (name, v) in &snap.counters {
@@ -743,32 +754,11 @@ fn stats_cluster(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Reads the background-repair scoreboard over the wire
-/// ([`cluster::Request::RepairStatus`]) and prints it. Unlike `stats`,
-/// this works even when the node was built without the telemetry
-/// feature: the scoreboard is plain atomics.
+/// Prints the background-repair progress of a datanode's process, read
+/// from its registry scrape ([`cluster::RepairStatusReport`]).
 fn repair_status_cluster(args: &[String]) -> Result<(), String> {
-    use cluster::protocol;
-    use cluster::{Request, Response};
-
-    let addr = args.first().ok_or("repair-status: missing <addr>")?;
-    let addr: std::net::SocketAddr = addr
-        .parse()
-        .map_err(|_| format!("invalid node address {addr:?}"))?;
-    let timeout = std::time::Duration::from_secs(5);
-    let mut stream = std::net::TcpStream::connect_timeout(&addr, timeout).map_err(err_str)?;
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    protocol::write_request(&mut stream, &Request::RepairStatus).map_err(err_str)?;
-    let mut scratch = Vec::new();
-    let reply = protocol::read_response_into(&mut stream, &mut scratch)
-        .map_err(err_str)?
-        .ok_or("repair-status: node closed the connection without replying")?;
-    let report = match reply.0 {
-        Response::Data(bytes) => protocol::decode_repair_status(&bytes).map_err(err_str)?,
-        Response::Error(message) => return Err(format!("repair-status: node error: {message}")),
-        other => return Err(format!("repair-status: unexpected reply {other:?}")),
-    };
+    let (_, snap) = scrape_stats("repair-status", args)?;
+    let report = cluster::RepairStatusReport::from_snapshot(&snap);
     println!("queue depth:     {}", report.queue_depth);
     println!("in flight:       {}", report.in_flight);
     println!("enqueued:        {}", report.enqueued);

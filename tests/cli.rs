@@ -272,7 +272,8 @@ fn kernels_subcommand_reports_registry_and_dispatch() {
 
 /// Full cluster workflow through the CLI: seven `serve` datanode
 /// *processes*, then `put` / `get` / kill-a-node / degraded `get` /
-/// `repair` / `get` — asserting byte-identical output each time. Seven
+/// `repair` / `get` — asserting byte-identical output each time — and
+/// finally `stats` / `repair-status` against a surviving node. Seven
 /// nodes for 6-wide stripes leaves a spare for the repaired blocks.
 #[test]
 fn cluster_serve_put_get_repair_round_trip() {
@@ -282,8 +283,19 @@ fn cluster_serve_put_get_repair_round_trip() {
     let input = write_input(&dir, 20_000);
     let manifest = dir.join("cluster.manifest");
 
+    /// Kills the datanode processes when the test ends, pass or fail.
+    struct Nodes(Vec<std::process::Child>);
+    impl Drop for Nodes {
+        fn drop(&mut self) {
+            for child in &mut self.0 {
+                let _ = child.kill();
+                let _ = child.wait();
+            }
+        }
+    }
+
     // Spawn 7 datanodes on ephemeral ports; each prints its address.
-    let mut children = Vec::new();
+    let mut children = Nodes(Vec::new());
     let mut addrs = Vec::new();
     for id in 0..7 {
         let mut child = tool()
@@ -306,7 +318,7 @@ fn cluster_serve_put_get_repair_round_trip() {
             .expect("address in banner")
             .to_string();
         addrs.push(addr);
-        children.push(child);
+        children.0.push(child);
     }
 
     let status = tool()
@@ -353,8 +365,8 @@ fn cluster_serve_put_get_repair_round_trip() {
         .trim()
         .parse()
         .unwrap();
-    children[victim].kill().expect("kill datanode");
-    let _ = children[victim].wait();
+    children.0[victim].kill().expect("kill datanode");
+    let _ = children.0[victim].wait();
     let degraded = dir.join("degraded.bin");
     assert!(tool()
         .args([
@@ -388,9 +400,44 @@ fn cluster_serve_put_get_repair_round_trip() {
         .success());
     assert_eq!(std::fs::read(&repaired).unwrap(), expect);
 
-    for mut child in children {
-        let _ = child.kill();
-        let _ = child.wait();
+    // Both registry scrapes answer from a live node: `stats` lists its
+    // metrics, `repair-status` prints the ten report lines.
+    let live = &addrs[(victim + 1) % addrs.len()];
+    let stats = tool().args(["stats", live]).output().expect("run stats");
+    assert!(stats.status.success());
+    let text = String::from_utf8_lossy(&stats.stdout).to_string();
+    assert!(
+        text.contains("counter   cluster.node.requests = "),
+        "{text}"
+    );
+    assert!(
+        text.contains("histogram cluster.node.service_us: "),
+        "{text}"
+    );
+    let report = tool()
+        .args(["repair-status", live])
+        .output()
+        .expect("run repair-status");
+    assert!(report.status.success());
+    let text = String::from_utf8_lossy(&report.stdout).to_string();
+    for label in [
+        "queue depth:",
+        "in flight:",
+        "enqueued:",
+        "completed:",
+        "requeued:",
+        "cancelled:",
+        "abandoned:",
+        "blocks rebuilt:",
+        "helper bytes:",
+        "wire bytes:",
+    ] {
+        assert!(
+            text.contains(label),
+            "repair-status lacks {label:?}: {text}"
+        );
     }
+
+    drop(children);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -81,9 +81,7 @@ fn concurrent_clients_read_and_repair_consistently() {
     // per-stripe spans, and the datanodes' wire-propagated spans — the
     // nodes are in-process, so their lines land in the same sink).
     let capture = Capture(Arc::new(Mutex::new(Vec::new())));
-    if telemetry::ENABLED {
-        telemetry::set_event_sink(capture.clone());
-    }
+    telemetry::set_event_sink(capture.clone());
 
     let start = Barrier::new(READERS + 1);
     let (reader_results, repair_report) = std::thread::scope(|scope| {
@@ -131,72 +129,70 @@ fn concurrent_clients_read_and_repair_consistently() {
         )
     });
 
-    if telemetry::ENABLED {
-        // Let the datanodes' request spans (which close just after the
-        // last response is written) drain into the sink.
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        telemetry::clear_event_sink();
-        let text = String::from_utf8(capture.0.lock().unwrap().clone()).unwrap();
-        let lines: Vec<&str> = text
-            .lines()
-            .filter(|l| l.contains("\"type\":\"trace\""))
-            .collect();
+    // Let the datanodes' request spans (which close just after the
+    // last response is written) drain into the sink.
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    telemetry::clear_event_sink();
+    let text = String::from_utf8(capture.0.lock().unwrap().clone()).unwrap();
+    let lines: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains("\"type\":\"trace\""))
+        .collect();
 
-        // Span ids are globally unique, and every captured span maps to
-        // exactly one trace.
-        let mut span_trace = std::collections::HashMap::new();
-        for line in &lines {
-            let trace = num_field(line, "trace").expect("trace id");
-            let span = num_field(line, "span").expect("span id");
-            assert!(
-                span_trace.insert(span, trace).is_none(),
-                "span id {span} emitted twice"
-            );
-        }
-        // Trace isolation under concurrency: a span's parent, wherever it
-        // was captured, belongs to the *same* trace — no reader's spans
-        // ever link into another request's trace. (Parents emitted after
-        // the sink closed are simply absent, which is fine.)
-        for line in &lines {
-            let trace = num_field(line, "trace").unwrap();
-            if let Some(parent) = num_field(line, "parent") {
-                if let Some(&parent_trace) = span_trace.get(&parent) {
-                    assert_eq!(
-                        parent_trace,
-                        trace,
-                        "span {} links into a foreign trace",
-                        num_field(line, "span").unwrap()
-                    );
-                }
-            }
-        }
-        // Every one of the readers' gets (and the repair) rooted its own
-        // distinct trace.
-        let get_roots: std::collections::HashSet<u64> = lines
-            .iter()
-            .filter(|l| l.contains("\"name\":\"cluster.op.get_us\""))
-            .map(|l| num_field(l, "trace").unwrap())
-            .collect();
-        assert_eq!(
-            get_roots.len(),
-            READERS * READS_EACH,
-            "expected one distinct trace per concurrent get"
-        );
-        assert_eq!(
-            lines
-                .iter()
-                .filter(|l| l.contains("\"name\":\"cluster.op.repair_us\""))
-                .count(),
-            1
-        );
-        // The wire propagated: server-side spans joined client traces.
+    // Span ids are globally unique, and every captured span maps to
+    // exactly one trace.
+    let mut span_trace = std::collections::HashMap::new();
+    for line in &lines {
+        let trace = num_field(line, "trace").expect("trace id");
+        let span = num_field(line, "span").expect("span id");
         assert!(
-            lines
-                .iter()
-                .any(|l| l.contains("\"name\":\"cluster.node.request_us\"")),
-            "no datanode span captured"
+            span_trace.insert(span, trace).is_none(),
+            "span id {span} emitted twice"
         );
     }
+    // Trace isolation under concurrency: a span's parent, wherever it
+    // was captured, belongs to the *same* trace — no reader's spans
+    // ever link into another request's trace. (Parents emitted after
+    // the sink closed are simply absent, which is fine.)
+    for line in &lines {
+        let trace = num_field(line, "trace").unwrap();
+        if let Some(parent) = num_field(line, "parent") {
+            if let Some(&parent_trace) = span_trace.get(&parent) {
+                assert_eq!(
+                    parent_trace,
+                    trace,
+                    "span {} links into a foreign trace",
+                    num_field(line, "span").unwrap()
+                );
+            }
+        }
+    }
+    // Every one of the readers' gets (and the repair) rooted its own
+    // distinct trace.
+    let get_roots: std::collections::HashSet<u64> = lines
+        .iter()
+        .filter(|l| l.contains("\"name\":\"cluster.op.get_us\""))
+        .map(|l| num_field(l, "trace").unwrap())
+        .collect();
+    assert_eq!(
+        get_roots.len(),
+        READERS * READS_EACH,
+        "expected one distinct trace per concurrent get"
+    );
+    assert_eq!(
+        lines
+            .iter()
+            .filter(|l| l.contains("\"name\":\"cluster.op.repair_us\""))
+            .count(),
+        1
+    );
+    // The wire propagated: server-side spans joined client traces.
+    assert!(
+        lines
+            .iter()
+            .any(|l| l.contains("\"name\":\"cluster.node.request_us\"")),
+        "no datanode span captured"
+    );
 
     // Per-client accounting is exact: the sum of before/after deltas of a
     // client's own operations equals its final counters — workers folding

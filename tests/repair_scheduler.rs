@@ -7,7 +7,7 @@
 //! backoff on transient failures.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use access::{ObjectStore, PutOptions};
@@ -15,6 +15,16 @@ use cluster::testing::LocalCluster;
 use cluster::{ClusterClient, Coordinator, RepairConfig, RepairScheduler};
 use filestore::format::CodeSpec;
 use workloads::parallel::ParallelCtx;
+
+/// Every scheduler writes the process-global `repair.*` gauges, so the
+/// tests here run one at a time: a queue another test is still draining
+/// would otherwise show up in this test's registry reads.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn put_storm_file(
     coord: &Arc<Coordinator>,
@@ -49,10 +59,12 @@ fn spec_k(spec: CodeSpec) -> usize {
 
 /// Kill a node mid-storm: foreground reads stay byte-identical during
 /// and after the rebuild, the queue drains to empty, the per-node
-/// fan-in cap is never exceeded (from the recorded metric), and the
-/// coordinator's stats snapshot carries the repair-queue gauges.
+/// fan-in cap is never exceeded (from the recorded metric), and both the
+/// coordinator's stats snapshot and a node's wire scrape carry the
+/// repair progress.
 #[test]
 fn storm_rebuild_is_byte_identical_and_fan_in_capped() {
+    let _serial = serial();
     let fanin_cap = 2;
     let mut cluster = LocalCluster::start(9).expect("start cluster");
     let coord = cluster.coordinator();
@@ -119,31 +131,44 @@ fn storm_rebuild_is_byte_identical_and_fan_in_capped() {
     let mut fresh = ClusterClient::new(Arc::clone(&coord)).with_timeout(Duration::from_secs(5));
     assert_eq!(fresh.get("storm").expect("post-rebuild get"), data);
 
-    if telemetry::ENABLED {
-        let snap = coord.stats();
-        // Satellite: the coordinator's stats snapshot shows rebuild
-        // progress — the queue gauges and the stripe counters are there.
-        for gauge in ["repair.queue.depth", "repair.inflight"] {
-            assert!(
-                snap.gauges.iter().any(|(name, _)| name == gauge),
-                "stats snapshot is missing the {gauge} gauge"
-            );
-        }
-        // The fan-in throttle: every recorded concurrency level —
-        // sampled at each permit acquisition — is within the cap.
-        let fanin = snap
-            .histograms
-            .iter()
-            .find(|(name, _)| name == "repair.node.fanin")
-            .map(|(_, h)| h.clone())
-            .expect("repair.node.fanin histogram missing");
-        assert!(fanin.count > 0, "fan-in histogram recorded nothing");
+    // The same progress over the wire, from a surviving node's registry
+    // scrape. The registry is process-global, so its counters are at
+    // least this scheduler's own.
+    let wire = fresh
+        .repair_status(fp.nodes[0][1])
+        .expect("repair status over the wire");
+    assert_eq!(wire.queue_depth, 0, "wire report: queue not empty");
+    assert_eq!(wire.in_flight, 0, "wire report: work in flight");
+    assert!(wire.enqueued >= status.enqueued, "{wire:?} vs {status:?}");
+    assert!(wire.completed >= status.completed, "{wire:?} vs {status:?}");
+    assert!(
+        wire.blocks_rebuilt >= status.blocks_rebuilt,
+        "{wire:?} vs {status:?}"
+    );
+
+    let snap = coord.stats();
+    // Satellite: the coordinator's stats snapshot shows rebuild
+    // progress — the queue gauges and the stripe counters are there.
+    for gauge in ["repair.queue.depth", "repair.inflight"] {
         assert!(
-            fanin.max <= fanin_cap as u64,
-            "per-node fan-in reached {} (cap {fanin_cap})",
-            fanin.max
+            snap.gauges.iter().any(|(name, _)| name == gauge),
+            "stats snapshot is missing the {gauge} gauge"
         );
     }
+    // The fan-in throttle: every recorded concurrency level —
+    // sampled at each permit acquisition — is within the cap.
+    let fanin = snap
+        .histograms
+        .iter()
+        .find(|(name, _)| name == "repair.node.fanin")
+        .map(|(_, h)| h.clone())
+        .expect("repair.node.fanin histogram missing");
+    assert!(fanin.count > 0, "fan-in histogram recorded nothing");
+    assert!(
+        fanin.max <= fanin_cap as u64,
+        "per-node fan-in reached {} (cap {fanin_cap})",
+        fanin.max
+    );
     scheduler.shutdown();
 }
 
@@ -154,6 +179,7 @@ fn storm_rebuild_is_byte_identical_and_fan_in_capped() {
 /// absorbed by the presence probe without rebuilding anything.
 #[test]
 fn flapping_node_cancels_and_healthy_stripe_absorbs() {
+    let _serial = serial();
     let mut cluster = LocalCluster::start(6).expect("start cluster");
     let coord = cluster.coordinator();
     let spec = CodeSpec::Carousel {
@@ -219,6 +245,7 @@ fn flapping_node_cancels_and_healthy_stripe_absorbs() {
 /// at least one full backoff period from the first attempt.
 #[test]
 fn transient_failures_requeue_with_backoff() {
+    let _serial = serial();
     let backoff_base = Duration::from_millis(1500);
     let mut cluster = LocalCluster::start(5).expect("start cluster");
     let coord = cluster.coordinator();
