@@ -20,6 +20,7 @@ use erasure::CodeError;
 
 use crate::cache::PlanCache;
 use crate::plan::ReadPlan;
+use crate::range::RangePlan;
 use crate::source::{BatchRequest, BlockSource, Fetch};
 use crate::{AccessCode, ReadMode};
 
@@ -123,6 +124,16 @@ impl FetchedStripe {
     }
 }
 
+/// A byte range of one stripe's original data, with how it was served.
+#[derive(Debug, Clone)]
+pub struct RangeRead {
+    /// The requested bytes.
+    pub data: Vec<u8>,
+    /// `true` when only the range's own slices were fetched; `false` when
+    /// the stripe was fetched and decoded whole (a touched block failed).
+    pub direct: bool,
+}
+
 /// A reconstructed block data region, with how it was obtained.
 #[derive(Debug, Clone)]
 pub struct RegionRead {
@@ -182,7 +193,18 @@ impl<'a> PlanExecutor<'a> {
         code: &dyn AccessCode,
         source: &mut S,
     ) -> Result<FetchedStripe, ExecError<S::Error>> {
-        let mut available = source.available();
+        let available = source.available();
+        self.fetch_stripe_from(code, source, available)
+    }
+
+    /// [`PlanExecutor::fetch_stripe`] planned against `available` instead
+    /// of the source's own view.
+    fn fetch_stripe_from<S: BlockSource>(
+        &self,
+        code: &dyn AccessCode,
+        source: &mut S,
+        mut available: Vec<usize>,
+    ) -> Result<FetchedStripe, ExecError<S::Error>> {
         available.sort_unstable();
         let w = source.unit_bytes();
         let mut replans = 0;
@@ -223,6 +245,60 @@ impl<'a> PlanExecutor<'a> {
             data: fetched.decode()?,
             mode: fetched.mode(),
             replans: fetched.replans(),
+        })
+    }
+
+    /// Reads message bytes `offset..offset + len` of one stripe. The
+    /// direct path fetches only the [`RangePlan`]'s slices from the blocks
+    /// that store the range, as one batch, and decodes nothing. As soon as
+    /// a touched block is not believed available or answers anything but
+    /// a payload of the planned length, the stripe falls back to
+    /// [`PlanExecutor::fetch_stripe`] — planned without the blocks that
+    /// just failed — and the range is cut from the decoded stripe.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::Code`] for a range past the stripe's message bytes,
+    /// otherwise as for [`PlanExecutor::fetch_stripe`].
+    pub fn read_range<S: BlockSource>(
+        &self,
+        code: &dyn AccessCode,
+        source: &mut S,
+        offset: usize,
+        len: usize,
+    ) -> Result<RangeRead, ExecError<S::Error>> {
+        let plan = RangePlan::plan(&code.data_layout(), source.unit_bytes(), offset, len)?;
+        if plan.is_empty() {
+            return Ok(RangeRead {
+                data: Vec::new(),
+                direct: true,
+            });
+        }
+        let mut available = source.available();
+        if plan.nodes().all(|n| available.contains(&n)) {
+            let requests = plan.batch();
+            FETCH_FANOUT.record(requests.len() as u64);
+            let fetches = source.fetch_batch(&requests).map_err(ExecError::Source)?;
+            let mut payloads = Vec::with_capacity(requests.len());
+            for (i, request) in requests.iter().enumerate() {
+                match fetches.get(i) {
+                    Some(Fetch::Data(bytes)) if bytes.len() == plan.payload_len(i) => {
+                        payloads.push(bytes.as_slice());
+                    }
+                    _ => available.retain(|&n| n != request.node()),
+                }
+            }
+            if payloads.len() == requests.len() {
+                return Ok(RangeRead {
+                    data: plan.assemble(&payloads),
+                    direct: true,
+                });
+            }
+        }
+        let stripe = self.fetch_stripe_from(code, source, available)?.decode()?;
+        Ok(RangeRead {
+            data: stripe[offset..offset + len].to_vec(),
+            direct: false,
         })
     }
 
@@ -563,6 +639,54 @@ mod tests {
             Err(ExecError::ReplansExhausted { attempts }) => assert_eq!(attempts, 3),
             other => panic!("expected exhaustion, got {other:?}"),
         }
+    }
+
+    /// Ranged reads are direct on a healthy stripe and fall back to a
+    /// whole-stripe decode — byte-identical — when a touched block is
+    /// lost, or is listed available but fails to serve.
+    #[test]
+    fn range_reads_go_direct_and_fall_back() {
+        let code = Carousel::new(6, 3, 3, 6).unwrap();
+        let (data, blocks) = encoded(&code, 8);
+        let cache = PlanCache::new(8);
+        let executor = PlanExecutor::new(&cache);
+        let sub = code.sub();
+        let (offset, len) = (5, data.len() - 9);
+        let want = &data[offset..offset + len];
+
+        let refs: Vec<Option<&[u8]>> = blocks.iter().map(|b| Some(&b[..])).collect();
+        let read = executor
+            .read_range(
+                &code,
+                &mut MemorySource::new(refs.clone(), sub),
+                offset,
+                len,
+            )
+            .unwrap();
+        assert!(read.direct);
+        assert_eq!(read.data, want);
+
+        let lost: Vec<Option<&[u8]>> = blocks
+            .iter()
+            .enumerate()
+            .map(|(i, b)| (i != 0).then_some(&b[..]))
+            .collect();
+        let read = executor
+            .read_range(&code, &mut MemorySource::new(lost, sub), offset, len)
+            .unwrap();
+        assert!(!read.direct);
+        assert_eq!(read.data, want);
+
+        let mut flaky = FlakySource {
+            inner: MemorySource::new(refs, sub),
+            dies_after_serving: vec![1],
+            served: true,
+        };
+        let read = executor.read_range(&code, &mut flaky, offset, len).unwrap();
+        assert!(!read.direct);
+        assert_eq!(read.data, want);
+        let empty = executor.read_range(&code, &mut flaky, 3, 0).unwrap();
+        assert!(empty.data.is_empty());
     }
 
     #[test]

@@ -10,8 +10,12 @@
 //!
 //! * [`ReadPlan`] / [`DegradedPlan`] / [`RepairPlan`] — pure-data plans
 //!   wrapping the algebraic kernels in `carousel` and `erasure`;
+//! * [`RangePlan`] — a byte range of a stripe mapped through the code's
+//!   data layout to the block slices holding it, so small reads fetch
+//!   only the touched bytes;
 //! * [`BlockSource`] — what a transport must provide: availability, unit
-//!   fetches, and (optionally pushed-down) helper-side repair reads;
+//!   and slice fetches, and (optionally pushed-down) helper-side repair
+//!   reads;
 //! * [`PlanExecutor`] — the one replanning loop: plan against believed
 //!   availability, fetch, and on mid-read failure shrink the availability
 //!   set and replan, up to a bounded number of attempts;
@@ -34,16 +38,18 @@ mod cache;
 mod executor;
 mod object;
 mod plan;
+mod range;
 mod source;
 
 pub use cache::PlanCache;
 pub use carousel::ReadMode;
 pub use executor::{
-    ExecError, FetchedStripe, PlanExecutor, RegionRead, RepairOutcome, StripeRead,
+    ExecError, FetchedStripe, PlanExecutor, RangeRead, RegionRead, RepairOutcome, StripeRead,
     DEFAULT_MAX_REPLANS,
 };
 pub use object::{ObjectStore, PutOptions};
 pub use plan::{DegradedPlan, ReadPlan, RepairPlan};
+pub use range::RangePlan;
 pub use source::{BatchRequest, BlockSource, Fetch, MemorySource};
 
 use carousel::Carousel;

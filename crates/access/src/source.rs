@@ -51,13 +51,26 @@ pub enum BatchRequest<'a> {
         /// The helper's `β × sub` coefficient task.
         task: &'a HelperTask,
     },
+    /// Fetch the listed `slice_bytes`-wide slices of `node`'s block,
+    /// concatenated in order — the batched form of
+    /// [`BlockSource::fetch_slices`].
+    Slices {
+        /// The node (block slot) to read from.
+        node: usize,
+        /// Slice width in bytes; divides the unit width.
+        slice_bytes: usize,
+        /// Slice indices, in the order wanted back.
+        slices: Vec<usize>,
+    },
 }
 
 impl BatchRequest<'_> {
     /// The node this request targets.
     pub fn node(&self) -> usize {
         match self {
-            BatchRequest::Units { node, .. } | BatchRequest::Repair { node, .. } => *node,
+            BatchRequest::Units { node, .. }
+            | BatchRequest::Repair { node, .. }
+            | BatchRequest::Slices { node, .. } => *node,
         }
     }
 }
@@ -104,6 +117,45 @@ pub trait BlockSource {
         }
     }
 
+    /// Fetches `slice_bytes`-wide slices of `node`'s block, concatenated
+    /// in order: slice `s` is block bytes `s·g..(s+1)·g`, and `g` must
+    /// divide [`BlockSource::unit_bytes`] so no slice straddles a unit.
+    /// The default fetches the stored units holding the slices and cuts
+    /// them out; a transport that can address slices natively serves
+    /// [`BatchRequest::Slices`] itself (the cluster sends `GetUnits` with
+    /// `sub = block_bytes / g`) so only the slices travel.
+    ///
+    /// # Errors
+    ///
+    /// Only for transport-fatal faults; an unreachable node, or a slice
+    /// width that does not tile the units, is `Ok(Fetch::Unavailable)`.
+    fn fetch_slices(
+        &mut self,
+        node: usize,
+        slice_bytes: usize,
+        slices: &[usize],
+    ) -> Result<Fetch, Self::Error> {
+        let (w, g) = (self.unit_bytes(), slice_bytes);
+        if g == 0 || w == 0 || !w.is_multiple_of(g) {
+            return Ok(Fetch::Unavailable);
+        }
+        let mut units: Vec<usize> = slices.iter().map(|&s| s * g / w).collect();
+        units.sort_unstable();
+        units.dedup();
+        match self.fetch_units(node, &units)? {
+            Fetch::Data(bytes) if bytes.len() == units.len() * w => {
+                let mut out = Vec::with_capacity(slices.len() * g);
+                for &s in slices {
+                    let at = units.binary_search(&(s * g / w)).expect("unit listed") * w;
+                    let from = at + s * g % w;
+                    out.extend_from_slice(&bytes[from..from + g]);
+                }
+                Ok(Fetch::Data(out))
+            }
+            _ => Ok(Fetch::Unavailable),
+        }
+    }
+
     /// Serves every request of one plan in a single call.
     ///
     /// The contract, which the default sequential loop realizes trivially
@@ -131,6 +183,11 @@ pub trait BlockSource {
             .map(|request| match request {
                 BatchRequest::Units { node, units } => self.fetch_units(*node, units),
                 BatchRequest::Repair { node, task } => self.repair_read(*node, task),
+                BatchRequest::Slices {
+                    node,
+                    slice_bytes,
+                    slices,
+                } => self.fetch_slices(*node, *slice_bytes, slices),
             })
             .collect()
     }
@@ -205,18 +262,24 @@ impl BlockSource for MemorySource<'_> {
     /// Native batch entry: every block is already in memory, so the whole
     /// batch is answered in one pass with no per-request dispatch. Repair
     /// requests run the helper task directly on the stored block slice,
-    /// skipping the default path's intermediate block copy.
+    /// skipping the default path's intermediate block copy; slice
+    /// requests take the default unit-based slice fetch.
     fn fetch_batch(&mut self, requests: &[BatchRequest<'_>]) -> Result<Vec<Fetch>, Self::Error> {
-        Ok(requests
+        requests
             .iter()
             .map(|request| match request {
-                BatchRequest::Units { node, units } => self.serve_units(*node, units),
-                BatchRequest::Repair { node, task } => match self.whole_block(*node) {
+                BatchRequest::Units { node, units } => Ok(self.serve_units(*node, units)),
+                BatchRequest::Repair { node, task } => Ok(match self.whole_block(*node) {
                     Some(block) => task.run(block).map_or(Fetch::Unavailable, Fetch::Data),
                     None => Fetch::Unavailable,
-                },
+                }),
+                BatchRequest::Slices {
+                    node,
+                    slice_bytes,
+                    slices,
+                } => self.fetch_slices(*node, *slice_bytes, slices),
             })
-            .collect())
+            .collect()
     }
 }
 

@@ -51,7 +51,7 @@ use access::{
 };
 use dfs::Placement;
 use erasure::{CodeError, ColumnUpdater, ErasureCode as _, HelperTask};
-use filestore::format::CodeSpec;
+use filestore::format::{AnyCode, CodeSpec};
 use filestore::{FileCodec, FileError, DEFAULT_PACK_LIMIT, PACK_PREFIX};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -71,6 +71,12 @@ static READS: LazyLock<&'static telemetry::Counter> =
     LazyLock::new(|| telemetry::counter("cluster.reads"));
 static READS_DEGRADED: LazyLock<&'static telemetry::Counter> =
     LazyLock::new(|| telemetry::counter("cluster.reads.degraded"));
+// Per stripe of a ranged read: served from the range's own slices, or
+// fetched and decoded whole because a touched block could not serve.
+static RANGE_DIRECT: LazyLock<&'static telemetry::Counter> =
+    LazyLock::new(|| telemetry::counter("cluster.read.range.direct"));
+static RANGE_FALLBACK: LazyLock<&'static telemetry::Counter> =
+    LazyLock::new(|| telemetry::counter("cluster.read.range.fallback"));
 static REPAIR_BLOCKS: LazyLock<&'static telemetry::Counter> =
     LazyLock::new(|| telemetry::counter("cluster.repair.blocks"));
 static REPAIR_WIRE: LazyLock<&'static telemetry::Counter> =
@@ -351,6 +357,17 @@ impl StripeSource<'_> {
                 id: block_id(self.name, self.stripe, *role),
                 sub: self.sub as u32,
                 units: units.iter().map(|&u| u as u32).collect(),
+            },
+            // A slice is a "unit" of a finer cut: the datanode splits the
+            // block into `sub` equal parts, whatever `sub` the client names.
+            BatchRequest::Slices {
+                node: role,
+                slice_bytes,
+                slices,
+            } => Request::GetUnits {
+                id: block_id(self.name, self.stripe, *role),
+                sub: (self.sub * self.w / slice_bytes) as u32,
+                units: slices.iter().map(|&s| s as u32).collect(),
             },
             BatchRequest::Repair { node: role, task } => {
                 let beta = task.beta();
@@ -832,7 +849,7 @@ impl ClusterClient {
         let code = fp.spec.build()?;
         let sub = code.linear().sub();
         let w = fp.block_bytes / sub;
-        let sdb = code.k() * fp.block_bytes;
+        let sdb = stripe_data_bytes(&code, fp.block_bytes);
         let executor = PlanExecutor::new(&self.plans).with_max_replans(self.max_replans);
         let link = &self.link;
         let ctx = &self.ctx;
@@ -1172,9 +1189,13 @@ impl ClusterClient {
         }
     }
 
-    /// Reads `len` bytes at byte `offset` of a placed file, fetching and
-    /// decoding only the touched stripes (the engine under
-    /// [`ObjectStore::get_range`] and every packed-object read).
+    /// Reads `len` bytes at byte `offset` of a placed file (the engine
+    /// under [`ObjectStore::get_range`], every packed-object read and the
+    /// old-span read of a range write). Each touched stripe is a direct
+    /// ranged read: only the `g`-byte slices holding the range are
+    /// fetched, as [`Request::GetUnits`] with `sub = block_bytes / g`,
+    /// from the blocks that store it. A stripe whose touched block is dead
+    /// or cannot serve falls back to the whole-stripe fetch and decode.
     fn read_file_range(
         &mut self,
         name: &str,
@@ -1199,16 +1220,19 @@ impl ClusterClient {
         let code = fp.spec.build()?;
         let sub = code.linear().sub();
         let w = fp.block_bytes / sub;
-        let sdb = (code.k() * fp.block_bytes) as u64;
+        let sdb = stripe_data_bytes(&code, fp.block_bytes) as u64;
         let first = (offset / sdb) as usize;
         let last = ((end - 1) / sdb) as usize;
         let executor = PlanExecutor::new(&self.plans).with_max_replans(self.max_replans);
-        let mut buf = Vec::with_capacity((last - first + 1) * sdb as usize);
+        let mut buf = Vec::with_capacity(len as usize);
         let mut tally = Tally::default();
         let outcome = (|| -> Result<(), ClusterError> {
             let link = &self.link;
             let ctx = &self.ctx;
             for s in first..=last {
+                let stripe_start = s as u64 * sdb;
+                let lo = offset.max(stripe_start) - stripe_start;
+                let hi = end.min(stripe_start + sdb) - stripe_start;
                 let span = op_ctx.child("cluster.fetch.stripe_us");
                 let mut source = StripeSource {
                     link,
@@ -1223,19 +1247,23 @@ impl ClusterClient {
                     gate: None,
                     tally: Tally::default(),
                 };
-                let fetched = executor
-                    .fetch_stripe(&code, &mut source)
+                let read = executor
+                    .read_range(&code, &mut source, lo as usize, (hi - lo) as usize)
                     .map_err(|e| read_error(name, s, e));
                 tally += source.tally;
-                let data = fetched?.decode().map_err(|_| unreadable(name, s))?;
-                buf.extend_from_slice(&data);
+                let read = read?;
+                if read.direct {
+                    RANGE_DIRECT.inc();
+                } else {
+                    RANGE_FALLBACK.inc();
+                }
+                buf.extend_from_slice(&read.data);
             }
             Ok(())
         })();
         self.fold(tally);
         outcome?;
-        let at = (offset - first as u64 * sdb) as usize;
-        Ok(buf[at..at + len as usize].to_vec())
+        Ok(buf)
     }
 
     /// Ships an in-place edit of `name`'s bytes as per-node
@@ -1270,7 +1298,7 @@ impl ClusterClient {
         let updater = ColumnUpdater::new(code.linear());
         let sub = code.linear().sub();
         let w = fp.block_bytes / sub;
-        let sdb = (code.k() * fp.block_bytes) as u64;
+        let sdb = stripe_data_bytes(&code, fp.block_bytes) as u64;
         let end = offset + new.len() as u64;
         let first = (offset / sdb) as usize;
         let last = ((end - 1) / sdb) as usize;
@@ -1290,24 +1318,26 @@ impl ClusterClient {
                     &old[span.clone()],
                     &new[span],
                 )?;
-                let updates = updater.node_updates(&delta)?;
+                // Each node gets only the g-byte slices of the delta its
+                // block consumes, rows re-indexed to block slices.
+                let updates = delta.split_for_wire(&updater.node_updates(&delta)?)?;
                 let row = &fp.nodes[s];
                 // Ship only to nodes the coordinator believes alive: a
                 // dead node's block is stale either way, and repair
                 // rebuilds it from the updated survivors.
                 let wire: Vec<(usize, Request)> = updates
-                    .iter()
+                    .into_iter()
                     .filter(|u| link.meta.is_alive(row[u.node]))
                     .map(|u| {
                         let request = Request::WriteDelta {
                             id: block_id(name, s, u.node),
-                            unit_bytes: w as u32,
-                            deltas: delta.deltas.clone(),
+                            unit_bytes: u.slice_bytes as u32,
+                            deltas: u.deltas,
                             rows: u
                                 .rows
                                 .iter()
-                                .map(|(unit, coeffs)| {
-                                    (*unit as u32, coeffs.iter().map(|c| c.value()).collect())
+                                .map(|(slice, coeffs)| {
+                                    (*slice as u32, coeffs.iter().map(|c| c.value()).collect())
                                 })
                                 .collect(),
                         };
@@ -1384,7 +1414,7 @@ impl ClusterClient {
             return Ok(fp.file_len);
         }
         let code = fp.spec.build()?;
-        let sdb = code.k() * fp.block_bytes;
+        let sdb = stripe_data_bytes(&code, fp.block_bytes);
         let capacity = fp.stripes as u64 * sdb as u64;
         let old_len = fp.file_len;
         let fill = ((capacity - old_len) as usize).min(tail.len());
@@ -1661,6 +1691,14 @@ fn send_stripe(
         }
     }
     Ok(tally)
+}
+
+/// Original-data bytes one stripe carries: `message_units · w`, which is
+/// `k · block_bytes` for every family except MBR (whose blocks also hold
+/// repair-side copies).
+fn stripe_data_bytes(code: &AnyCode, block_bytes: usize) -> usize {
+    let linear = code.linear();
+    linear.message_units() * (block_bytes / linear.sub())
 }
 
 fn block_id(name: &str, stripe: usize, role: usize) -> BlockId {

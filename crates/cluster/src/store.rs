@@ -39,7 +39,7 @@ impl BlockStore {
         &self.root
     }
 
-    fn path_for(&self, id: &BlockId) -> Result<PathBuf, ClusterError> {
+    pub(crate) fn path_for(&self, id: &BlockId) -> Result<PathBuf, ClusterError> {
         id.validate()?;
         Ok(self.root.join(format!(
             "{}.s{:05}.b{:03}.blk",
@@ -77,6 +77,12 @@ impl BlockStore {
     /// Returns [`ClusterError::Protocol`] for invalid ids and
     /// [`ClusterError::Io`] for filesystem failures other than absence.
     pub fn get(&self, id: &BlockId) -> Result<Option<Vec<u8>>, ClusterError> {
+        Ok(self.read_verified(id)?.map(|(bytes, _)| bytes))
+    }
+
+    /// Reads a block and checks it against its CRC trailer, returning the
+    /// bytes with the verified checksum (`None` when absent or corrupt).
+    fn read_verified(&self, id: &BlockId) -> Result<Option<(Vec<u8>, u32)>, ClusterError> {
         let path = self.path_for(id)?;
         let mut bytes = match fs::read(&path) {
             Ok(b) => b,
@@ -97,19 +103,21 @@ impl BlockStore {
         if crc32(&bytes) != stored {
             return Ok(None);
         }
-        Ok(Some(bytes))
+        Ok(Some((bytes, stored)))
     }
 
-    /// Reports a block's presence as `(length, crc32)` without reading it
-    /// back in full for the caller. Quarantined blocks report as absent.
+    /// Reports a block's presence as `(length, crc32)` without handing
+    /// its bytes to the caller. The block is still read and verified in
+    /// full (quarantined blocks report as absent); the reported CRC is
+    /// the trailer that check just matched, so one CRC pass suffices.
     ///
     /// # Errors
     ///
     /// Same as [`BlockStore::get`].
     pub fn stat(&self, id: &BlockId) -> Result<Option<(u32, u32)>, ClusterError> {
         Ok(self
-            .get(id)?
-            .map(|bytes| (bytes.len() as u32, crc32(&bytes))))
+            .read_verified(id)?
+            .map(|(bytes, crc)| (bytes.len() as u32, crc)))
     }
 
     /// Removes a block if present.

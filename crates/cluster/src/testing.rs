@@ -26,7 +26,9 @@ use crate::client::ClusterClient;
 use crate::coordinator::Coordinator;
 use crate::datanode::{DataNode, DataNodeConfig};
 use crate::error::ClusterError;
+use crate::protocol::BlockId;
 use crate::router::MetaRouter;
+use crate::store::BlockStore;
 
 static HARNESS_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -165,6 +167,28 @@ impl LocalCluster {
     /// `true` if the harness has no nodes.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    /// Where node `id` stores block `role` of stripe `stripe` of `file`
+    /// (block bytes plus CRC trailer) — for tests that damage stored
+    /// blocks on disk.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::Protocol`] for an invalid file name.
+    pub fn block_path(
+        &self,
+        id: usize,
+        file: &str,
+        stripe: usize,
+        role: usize,
+    ) -> Result<PathBuf, ClusterError> {
+        let block = BlockId {
+            file: file.into(),
+            stripe: stripe as u32,
+            block: role as u32,
+        };
+        BlockStore::open(&self.roots[id])?.path_for(&block)
     }
 
     /// Stops node `id` **silently**: the coordinator still believes it is

@@ -384,18 +384,23 @@ impl BlockSource for SimNodes<'_> {
     /// Native batch entry mirroring `MemorySource`: the simulated
     /// datanodes are plain memory, so the whole batch is answered in one
     /// pass, with repair requests running their helper task directly on
-    /// the stored block.
+    /// the stored block and slice requests taking the default slice fetch.
     fn fetch_batch(&mut self, requests: &[BatchRequest<'_>]) -> Result<Vec<Fetch>, Self::Error> {
-        Ok(requests
+        requests
             .iter()
             .map(|request| match request {
-                BatchRequest::Units { node, units } => self.serve_units(*node, units),
-                BatchRequest::Repair { node, task } => match self.live_block(*node) {
+                BatchRequest::Units { node, units } => Ok(self.serve_units(*node, units)),
+                BatchRequest::Repair { node, task } => Ok(match self.live_block(*node) {
                     Some(block) => task.run(block).map_or(Fetch::Unavailable, Fetch::Data),
                     None => Fetch::Unavailable,
-                },
+                }),
+                BatchRequest::Slices {
+                    node,
+                    slice_bytes,
+                    slices,
+                } => self.fetch_slices(*node, *slice_bytes, slices),
             })
-            .collect())
+            .collect()
     }
 }
 

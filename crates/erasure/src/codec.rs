@@ -469,6 +469,204 @@ impl StripeDelta {
     pub fn payload_bytes(&self) -> usize {
         self.deltas.iter().map(Vec::len).sum()
     }
+
+    /// Splits the delta into `slice_bytes`-wide slices and hands each
+    /// node only the slices its block consumes: one delta per touched
+    /// (message unit, slice) pair whose bytes are not all zero, and each
+    /// coefficient row re-indexed from local unit `u` to block slice
+    /// `u·(w/g) + t`. Every update is ready for
+    /// `apply_block_delta(block, slice_bytes, &rows, &deltas)`, which
+    /// lands on the same block as the whole-unit update — a 4 KiB edit
+    /// then ships 4–8 KiB per node instead of one whole unit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodeError::BlockSizeMismatch`] when `slice_bytes` does
+    /// not divide the unit width, and [`CodeError::InsufficientData`] when
+    /// an update's coefficient rows do not match the delta count.
+    pub fn split(
+        &self,
+        updates: &[NodeDeltaUpdate],
+        slice_bytes: usize,
+    ) -> Result<Vec<NodeSliceUpdate>, CodeError> {
+        let shapes = self.slice_shapes(updates, slice_bytes)?;
+        Ok(self.materialize(&shapes, slice_bytes))
+    }
+
+    /// The split a wire transport should ship: [`StripeDelta::split`] at
+    /// [`slice_bytes`]`(w)`, unless whole units carry fewer payload bytes
+    /// (each row ships one coefficient per delta, so a long edit over
+    /// tiny slices can cost more in coefficients than it saves in data).
+    ///
+    /// # Errors
+    ///
+    /// As for [`StripeDelta::split`].
+    pub fn split_for_wire(
+        &self,
+        updates: &[NodeDeltaUpdate],
+    ) -> Result<Vec<NodeSliceUpdate>, CodeError> {
+        let w = self.unit_bytes;
+        let g = slice_bytes(w);
+        let fine = self.slice_shapes(updates, g)?;
+        if g < w {
+            let whole = self.slice_shapes(updates, w)?;
+            let cost = |shapes: &[SliceShape], g: usize| -> usize {
+                shapes.iter().map(|s| s.payload_bytes(g)).sum()
+            };
+            if cost(&whole, w) < cost(&fine, g) {
+                return Ok(self.materialize(&whole, w));
+            }
+        }
+        Ok(self.materialize(&fine, g))
+    }
+
+    /// The per-node structure of a split, without copying any bytes.
+    fn slice_shapes(
+        &self,
+        updates: &[NodeDeltaUpdate],
+        g: usize,
+    ) -> Result<Vec<SliceShape>, CodeError> {
+        let w = self.unit_bytes;
+        if g == 0 || !w.is_multiple_of(g) {
+            return Err(CodeError::BlockSizeMismatch {
+                expected: w,
+                actual: g,
+            });
+        }
+        let per = w / g;
+        // Every (delta, slice) pair with a non-zero byte, in (d, t) order.
+        let touched: Vec<(usize, usize)> = self
+            .deltas
+            .iter()
+            .enumerate()
+            .flat_map(|(d, bytes)| {
+                bytes
+                    .chunks(g)
+                    .enumerate()
+                    .filter(|(_, s)| s.iter().any(|&b| b != 0))
+                    .map(move |(t, _)| (d, t))
+            })
+            .collect();
+        let mut shapes = Vec::with_capacity(updates.len());
+        for nu in updates {
+            if let Some((_, c)) = nu.rows.iter().find(|(_, c)| c.len() != self.deltas.len()) {
+                return Err(CodeError::InsufficientData {
+                    needed: self.deltas.len(),
+                    got: c.len(),
+                });
+            }
+            let slices: Vec<(usize, usize)> = touched
+                .iter()
+                .copied()
+                .filter(|&(d, _)| nu.rows.iter().any(|(_, c)| !c[d].is_zero()))
+                .collect();
+            if slices.is_empty() {
+                continue;
+            }
+            // Local slice indices grouped by slice-within-unit `t`, so each
+            // row visits only the slices that can land on it.
+            let mut by_t: std::collections::BTreeMap<usize, Vec<usize>> =
+                std::collections::BTreeMap::new();
+            for (local, &(_, t)) in slices.iter().enumerate() {
+                by_t.entry(t).or_default().push(local);
+            }
+            let mut rows = Vec::new();
+            for (unit, coeffs) in &nu.rows {
+                for (&t, locals) in &by_t {
+                    let terms: Vec<(usize, Gf256)> = locals
+                        .iter()
+                        .map(|&l| (l, coeffs[slices[l].0]))
+                        .filter(|(_, c)| !c.is_zero())
+                        .collect();
+                    if !terms.is_empty() {
+                        rows.push((unit * per + t, terms));
+                    }
+                }
+            }
+            shapes.push(SliceShape {
+                node: nu.node,
+                slices,
+                rows,
+            });
+        }
+        Ok(shapes)
+    }
+
+    fn materialize(&self, shapes: &[SliceShape], g: usize) -> Vec<NodeSliceUpdate> {
+        shapes
+            .iter()
+            .map(|shape| NodeSliceUpdate {
+                node: shape.node,
+                slice_bytes: g,
+                deltas: shape
+                    .slices
+                    .iter()
+                    .map(|&(d, t)| self.deltas[d][t * g..(t + 1) * g].to_vec())
+                    .collect(),
+                rows: shape
+                    .rows
+                    .iter()
+                    .map(|(slice, terms)| {
+                        let mut coeffs = vec![Gf256::ZERO; shape.slices.len()];
+                        for &(l, c) in terms {
+                            coeffs[l] = c;
+                        }
+                        (*slice, coeffs)
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
+}
+
+/// Widest slice the sliced read and write paths move, in bytes: one
+/// page, small enough that a 4 KiB edit or read moves at most two.
+const MAX_SLICE_BYTES: usize = 4096;
+
+/// The slice width for unit width `w`: `gcd(w, 4096)`, the widest slice
+/// of at most 4096 bytes that tiles every unit exactly, so no slice
+/// straddles two units and a block of `sub` units holds `sub·w/g` whole
+/// slices.
+pub fn slice_bytes(unit_bytes: usize) -> usize {
+    let (mut a, mut b) = (unit_bytes, MAX_SLICE_BYTES);
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// Which slices one node consumes and the sparse terms of its rows: the
+/// copy-free plan behind a [`NodeSliceUpdate`], used to price a split
+/// before building it.
+#[derive(Debug)]
+struct SliceShape {
+    node: usize,
+    /// `(delta index, slice within the unit)` per shipped slice.
+    slices: Vec<(usize, usize)>,
+    /// `(block slice, non-zero (local slice, coefficient) terms)`.
+    rows: Vec<(usize, Vec<(usize, Gf256)>)>,
+}
+
+impl SliceShape {
+    /// Delta and coefficient bytes the materialized update carries.
+    fn payload_bytes(&self, g: usize) -> usize {
+        self.slices.len() * g + self.rows.len() * self.slices.len()
+    }
+}
+
+/// One node's share of a [`StripeDelta`] split into slices (see
+/// [`StripeDelta::split`]): exactly the arguments of
+/// [`apply_block_delta`] for that node's block.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NodeSliceUpdate {
+    /// The block (node index within the stripe) this update targets.
+    pub node: usize,
+    /// Slice width in bytes; every delta is this long.
+    pub slice_bytes: usize,
+    /// The slices of the edit's message deltas this block consumes.
+    pub deltas: Vec<Vec<u8>>,
+    /// `(block slice, coefficient per delta)` pairs, ascending by slice.
+    pub rows: Vec<(usize, Vec<Gf256>)>,
 }
 
 /// The per-node slice of a [`StripeDelta`]: for each local unit of the
@@ -738,6 +936,61 @@ mod tests {
         // Untouched columns mean untouched data nodes: a systematic code
         // editing units 1..4 must not ship anything to data node 0.
         assert!(updates.iter().all(|u| u.node != 0));
+    }
+
+    #[test]
+    fn sliced_updates_reproduce_reencode() {
+        // A (6,4) code over 96 bytes has w = 24: every divisor of w is a
+        // legal slice width, and each split must land on the re-encoded
+        // blocks.
+        let code = code(6, 4);
+        let enc = SparseEncoder::new(&code);
+        let upd = ColumnUpdater::new(&code);
+        let old: Vec<u8> = (0..96).map(|i| (i * 7 + 3) as u8).collect();
+        let mut new = old.clone();
+        for b in &mut new[21..30] {
+            *b ^= 0x5A;
+        }
+        let w = enc.encode(&old).unwrap().unit_bytes;
+        assert_eq!(w, 24);
+        let expect = enc.encode(&new).unwrap().blocks;
+        let delta = upd.stripe_delta(w, 21, &old[21..30], &new[21..30]).unwrap();
+        let updates = upd.node_updates(&delta).unwrap();
+        for g in [1, 2, 3, 4, 6, 8, 12, 24] {
+            let mut blocks = enc.encode(&old).unwrap().blocks;
+            for nu in delta.split(&updates, g).unwrap() {
+                assert_eq!(nu.slice_bytes, g);
+                apply_block_delta(&mut blocks[nu.node], g, &nu.rows, &nu.deltas).unwrap();
+            }
+            assert_eq!(blocks, expect, "slice width {g}");
+        }
+        // Bytes 21..30 straddle units 0 and 1: at g = 8 that is slice 2
+        // of unit 0 and slice 0 of unit 1. Data node 0 gets only the
+        // first, data node 1 only the second, and a parity node both.
+        let split = delta.split(&updates, 8).unwrap();
+        let shape = |u: &NodeSliceUpdate| (u.node, u.deltas.len(), u.rows.len());
+        assert_eq!(shape(&split[0]), (0, 1, 1));
+        assert_eq!(split[0].rows[0].0, 2);
+        assert_eq!(shape(&split[1]), (1, 1, 1));
+        assert_eq!(split[1].rows[0].0, 0);
+        assert!(split[2..]
+            .iter()
+            .all(|u| u.node >= 4 && u.deltas.len() == 2));
+        assert!(delta.split(&updates, 5).is_err(), "5 does not divide 24");
+        assert_eq!(slice_bytes(w), 8);
+        assert_eq!(slice_bytes(786_432), 4096);
+        assert_eq!(slice_bytes(40), 8);
+        assert_eq!(slice_bytes(7), 1);
+        // The wire split ships the cheaper of g-slices and whole units.
+        let wire = delta.split_for_wire(&updates).unwrap();
+        let bytes = |us: &[NodeSliceUpdate]| -> usize {
+            us.iter()
+                .map(|u| u.deltas.len() * u.slice_bytes + u.rows.len() * u.deltas.len())
+                .sum()
+        };
+        let fine = delta.split(&updates, 8).unwrap();
+        let whole = delta.split(&updates, 24).unwrap();
+        assert_eq!(bytes(&wire), bytes(&fine).min(bytes(&whole)));
     }
 
     #[test]

@@ -47,7 +47,8 @@ pub mod repair;
 pub mod sparsity;
 
 pub use codec::{
-    apply_block_delta, ColumnUpdater, EncodedStripe, NodeDeltaUpdate, SparseEncoder, StripeDelta,
+    apply_block_delta, slice_bytes, ColumnUpdater, EncodedStripe, NodeDeltaUpdate, NodeSliceUpdate,
+    SparseEncoder, StripeDelta,
 };
 pub use decode::DecodePlan;
 pub use error::CodeError;

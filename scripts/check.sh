@@ -114,6 +114,13 @@ cargo test --workspace --offline -q
 step "cluster loopback smoke test"
 cargo test --offline -q --test cluster_loopback
 
+step "repo benchmark tests (e2ebench)"
+# The benchmark is its own package (e2ebench/, outside the workspace)
+# calling stripe_delta, node_updates, MemorySource::new,
+# PlanExecutor::fetch_stripe and BlockStore::{put,get,stat}; building and
+# testing it here makes an API change fail CI instead of the benchmark.
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
 step "kernel bench smoke + JSONL schema check"
 metrics=$(mktemp /tmp/carousel-metrics.XXXXXX.jsonl)
 cargo run --release --offline -p carousel-bench --bin ext_kernels -- --smoke --metrics "$metrics"

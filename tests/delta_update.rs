@@ -4,8 +4,10 @@
 //! changed data units and per-parity coefficient products
 //! (`erasure::ColumnUpdater`). These tests prove the two are exactly
 //! equivalent — for random edit ranges over all four families
-//! (RS, LRC, MSR, Carousel), through both the local apply path and the
-//! wire path (`node_updates` + `apply_block_delta`), and under every
+//! (RS, LRC, MSR, Carousel), through the local apply path, the wire path
+//! (`node_updates` + `apply_block_delta`) and the sliced wire path
+//! (`StripeDelta::split` at every slice width dividing the unit, then
+//! `apply_block_delta` per node), and under every
 //! registered GF(2⁸) kernel via the child-process `CAROUSEL_KERNEL`
 //! matrix.
 
@@ -81,8 +83,27 @@ fn assert_delta_matches_reencode(
     }
     assert_eq!(wire.blocks, expect, "{label}: wire delta != re-encode");
 
-    // The wire path only touches nodes whose blocks actually change.
+    // Sliced wire path: split the delta into g-byte slices for every g
+    // dividing w (edits then cross slice as well as unit boundaries) and
+    // apply each node's share alone — what a sliced `WriteDelta` does.
     let before = enc.encode(old).unwrap().blocks;
+    for g in (1..=w).filter(|&g| w.is_multiple_of(g)) {
+        let mut sliced = before.clone();
+        for nu in delta.split(&updates, g).unwrap() {
+            apply_block_delta(&mut sliced[nu.node], g, &nu.rows, &nu.deltas).unwrap();
+        }
+        assert_eq!(
+            sliced, expect,
+            "{label}: {g}-byte sliced delta != re-encode"
+        );
+    }
+    let mut shipped = before.clone();
+    for nu in delta.split_for_wire(&updates).unwrap() {
+        apply_block_delta(&mut shipped[nu.node], nu.slice_bytes, &nu.rows, &nu.deltas).unwrap();
+    }
+    assert_eq!(shipped, expect, "{label}: wire split != re-encode");
+
+    // The wire path only touches nodes whose blocks actually change.
     for (node, (was, is)) in before.iter().zip(&expect).enumerate() {
         if was != is {
             assert!(
@@ -134,6 +155,7 @@ fn noop_edit_ships_nothing() {
             "{label}: unchanged bytes produced {} node updates",
             updates.len()
         );
+        assert!(delta.split_for_wire(&updates).unwrap().is_empty());
     }
 }
 
@@ -154,11 +176,14 @@ fn delta_scenario_for_pinned_kernel() {
     for idx in 0..4 {
         let (label, code) = family(idx);
         // Three edit shapes: sub-unit, unit-spanning, and a long run
-        // reaching the padded tail.
+        // reaching the padded tail; each crosses slice boundaries at
+        // some of the slice widths the sliced path tries.
         for (offset, len) in [(1usize, 3usize), (200, 77), (900, 124)] {
             let patch: Vec<u8> = (0..len).map(|i| (i * 83 + 29) as u8).collect();
             assert_delta_matches_reencode(label, code.as_ref(), &data, offset, &patch);
         }
+        // An edit that rewrites bytes with their own values.
+        assert_delta_matches_reencode(label, code.as_ref(), &data, 300, &data[300..340]);
     }
 }
 
